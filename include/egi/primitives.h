@@ -19,7 +19,8 @@ namespace egi {
 
 /// SAX word (letters) for a single, standalone subsequence — the paper's
 /// Figure 3 operation: z-normalize, PAA to `paa_size` segments, map through
-/// Gaussian breakpoints for `alphabet_size` symbols.
+/// Gaussian breakpoints for `alphabet_size` symbols. InvalidArgument when
+/// `values` holds NaN/Inf or the parameters are out of range.
 Result<std::string> SaxWord(std::span<const double> values, int paa_size,
                             int alphabet_size);
 

@@ -17,8 +17,8 @@
 #include "eval/metrics.h"
 #include "grammar/density.h"
 #include "grammar/sequitur.h"
+#include "sax/multires_encoder.h"
 #include "sax/numerosity.h"
-#include "sax/sax_encoder.h"
 #include "util/check.h"
 #include "util/rng.h"
 

@@ -264,15 +264,33 @@ std::vector<double> CombineMemberCurves(
   return CombineMemberCurves(curves, spec, member_stats, kept);
 }
 
-Result<std::vector<std::vector<double>>> ComputeMemberDensityCurves(
-    std::span<const double> series, const EnsembleParams& params,
-    std::vector<sax::WaParam>* out_sample, EnsembleArtifacts* artifacts) {
+namespace {
+
+// Lines 4-6 of Algorithm 1 as built: the full draw, which of its members
+// were built, and their raw density curves.
+struct MemberCurves {
+  std::vector<sax::WaParam> sample;  ///< the whole draw, in draw order
+  /// Sample indices of the built members, in build order: the identity
+  /// when every member is built, the screening-rank prefix when pruning.
+  std::vector<size_t> survivors;
+  std::vector<std::vector<double>> curves;  ///< aligned with `survivors`
+};
+
+// The one member-construction path: validate, draw, discretize every drawn
+// candidate through one shared encoder, screen the candidates down to the
+// top `prune_to` when `screen` is set and that cuts the draw, and run
+// Sequitur induction for the survivors. `artifacts` stays aligned 1:1 with
+// the full draw.
+Result<MemberCurves> BuildMemberCurves(std::span<const double> series,
+                                       const EnsembleParams& params,
+                                       bool screen,
+                                       EnsembleArtifacts* artifacts) {
   EGI_RETURN_IF_ERROR(sax::ValidateSeriesValues(series));
   EGI_RETURN_IF_ERROR(ValidateEnsembleParams(series.size(), params));
 
-  const auto sample = DrawParameterSample(params.wmax, params.amax,
-                                          params.ensemble_size, params.seed);
-  if (out_sample != nullptr) *out_sample = sample;
+  MemberCurves out;
+  out.sample = DrawParameterSample(params.wmax, params.amax,
+                                   params.ensemble_size, params.seed);
 
   // Shared discretization across all members (Section 6.2).
   static auto* encode_hist = Telemetry().GetHistogram("ensemble.encode_seconds");
@@ -281,12 +299,48 @@ Result<std::vector<std::vector<double>>> ComputeMemberDensityCurves(
                                   params.numerosity_reduction);
   Result<std::vector<sax::DiscretizedSeries>> encoded = [&] {
     telemetry::ScopedTimer timer(encode_hist);
-    return encoder.EncodeAll(sample);
+    return encoder.EncodeAll(out.sample);
   }();
   if (!encoded.ok()) return encoded.status();
   auto discretized = std::move(*encoded);
 
-  // The N grammar-induction runs are independent; each writes only its own
+  out.survivors.resize(discretized.size());
+  std::iota(out.survivors.begin(), out.survivors.end(), size_t{0});
+
+  // Two-stage construction (opt-in): when 0 < prune_to < N, a screening
+  // pass ranks all N candidates by their proxy statistic (remaining ties by
+  // draw order) and only the top prune_to are built. Sequential on purpose
+  // — it is cheap and its order is part of the deterministic contract.
+  const size_t target = static_cast<size_t>(params.prune_to);
+  if (screen && target > 0 && target < discretized.size()) {
+    // Registered on first use, so runs that never prune export no
+    // screening metrics.
+    static auto* screen_hist =
+        Telemetry().GetHistogram("ensemble.screen_seconds");
+    static auto* members_pruned =
+        Telemetry().GetCounter("ensemble.members_pruned");
+    {
+      telemetry::ScopedTimer timer(screen_hist);
+      std::vector<ScreeningStat> proxy(discretized.size());
+      std::vector<double> counts_scratch, sample_scratch;
+      for (size_t i = 0; i < discretized.size(); ++i) {
+        proxy[i] =
+            ScreenCandidate(discretized[i], counts_scratch, sample_scratch);
+      }
+      std::stable_sort(out.survivors.begin(), out.survivors.end(),
+                       [&](size_t a, size_t b) { return proxy[a] > proxy[b]; });
+      out.survivors.resize(target);
+    }
+    members_pruned->Add(discretized.size() - target);
+    Telemetry().journal().Emit(
+        "ensemble.pruned",
+        {{"candidates", std::to_string(discretized.size())},
+         {"built", std::to_string(target)}});
+  }
+  static auto* members_built = Telemetry().GetCounter("ensemble.members_built");
+  members_built->Add(out.survivors.size());
+
+  // The grammar-induction runs are independent; each writes only its own
   // slot, so the parallel result is bitwise-identical to the serial one.
   // Each member leases a warm Sequitur builder from the process-wide scratch
   // pool (grammar/sequitur.h): the pool's high-water mark is the executing
@@ -296,134 +350,34 @@ Result<std::vector<std::vector<double>>> ComputeMemberDensityCurves(
   // equivalent to a fresh builder (tested).
   static auto* induction_hist =
       Telemetry().GetHistogram("ensemble.induction_seconds");
-  static auto* members_built = Telemetry().GetCounter("ensemble.members_built");
-  members_built->Add(discretized.size());
-  std::vector<std::vector<double>> curves(discretized.size());
+  out.curves.resize(out.survivors.size());
   {
     telemetry::ScopedTimer timer(induction_hist);
-    exec::ParallelFor(params.parallelism, 0, discretized.size(), /*grain=*/1,
-                      [&](size_t i) {
+    exec::ParallelFor(params.parallelism, 0, out.survivors.size(),
+                      /*grain=*/1, [&](size_t i) {
                         auto builder = grammar::AcquireScratchBuilder();
-                        curves[i] = RunGrammarInductionOnTokens(
-                                        discretized[i],
-                                        params.boundary_correction,
-                                        builder.get())
-                                        .density;
+                        out.curves[i] = RunGrammarInductionOnTokens(
+                                            discretized[out.survivors[i]],
+                                            params.boundary_correction,
+                                            builder.get())
+                                            .density;
                       });
-  }
-  if (artifacts != nullptr) artifacts->discretized = std::move(discretized);
-  return curves;
-}
-
-namespace {
-
-// The two-stage (pruned) construction path of ComputeEnsembleDensity: the
-// shared encode still covers all N candidates, a sequential screening pass
-// ranks them by proxy std (ties broken by draw order), and full Sequitur
-// induction runs only for the top `prune_to` survivors. The combine stage
-// keeps round(tau * N) of the survivor prefix — screening order stands in
-// for the std rank, so when prune_to <= round(tau * N) every survivor is
-// kept. Members that were screened out report std_dev 0 and kept == false;
-// `artifacts` stays aligned 1:1 with the full drawn sample.
-Result<EnsembleResult> ComputePrunedEnsembleDensity(
-    std::span<const double> series, const EnsembleParams& params,
-    const std::vector<sax::WaParam>& sample, EnsembleArtifacts* artifacts) {
-  static auto* pruned_counter =
-      Telemetry().GetCounter("ensemble.members_pruned");
-  static auto* members_built = Telemetry().GetCounter("ensemble.members_built");
-  static auto* encode_hist =
-      Telemetry().GetHistogram("ensemble.encode_seconds");
-  static auto* screen_hist =
-      Telemetry().GetHistogram("ensemble.screen_seconds");
-  static auto* induction_hist =
-      Telemetry().GetHistogram("ensemble.induction_seconds");
-  static auto* combine_hist =
-      Telemetry().GetHistogram("ensemble.combine_seconds");
-
-  sax::MultiResSaxEncoder encoder(series, params.window_length, params.amax,
-                                  params.norm_threshold,
-                                  params.numerosity_reduction);
-  Result<std::vector<sax::DiscretizedSeries>> encoded = [&] {
-    telemetry::ScopedTimer timer(encode_hist);
-    return encoder.EncodeAll(sample);
-  }();
-  if (!encoded.ok()) return encoded.status();
-  auto discretized = std::move(*encoded);
-
-  // Screening pass: proxy statistic per candidate, then a stable rank
-  // (remaining ties by draw order). Sequential on purpose — it is cheap and
-  // its order is part of the deterministic contract.
-  const size_t target = static_cast<size_t>(params.prune_to);
-  std::vector<size_t> survivors(discretized.size());
-  {
-    telemetry::ScopedTimer timer(screen_hist);
-    std::vector<ScreeningStat> proxy(discretized.size());
-    std::vector<double> counts_scratch, sample_scratch;
-    for (size_t i = 0; i < discretized.size(); ++i) {
-      proxy[i] = ScreenCandidate(discretized[i], counts_scratch, sample_scratch);
-    }
-    std::iota(survivors.begin(), survivors.end(), size_t{0});
-    std::stable_sort(survivors.begin(), survivors.end(),
-                     [&](size_t a, size_t b) { return proxy[a] > proxy[b]; });
-    survivors.resize(target);
-  }
-  pruned_counter->Add(discretized.size() - target);
-  members_built->Add(target);
-  Telemetry().journal().Emit(
-      "ensemble.pruned",
-      {{"candidates", std::to_string(discretized.size())},
-       {"built", std::to_string(target)}});
-
-  // Full induction only for the survivors, in screening-rank order.
-  std::vector<std::vector<double>> curves(target);
-  {
-    telemetry::ScopedTimer timer(induction_hist);
-    exec::ParallelFor(params.parallelism, 0, target, /*grain=*/1,
-                      [&](size_t i) {
-                        auto builder = grammar::AcquireScratchBuilder();
-                        curves[i] = RunGrammarInductionOnTokens(
-                                        discretized[survivors[i]],
-                                        params.boundary_correction,
-                                        builder.get())
-                                        .density;
-                      });
-  }
-
-  CombineSpec spec;
-  spec.selectivity = params.selectivity;
-  spec.combine = params.combine;
-  spec.normalize = params.normalize;
-  spec.filter_by_std = params.filter_by_std;
-  // The std filter keeps round(tau * N) curves, ranked over the survivors
-  // by their real (post-induction) curve std — identical treatment to the
-  // full path restricted to the survivor set, so complete screening
-  // coverage implies a bitwise-identical ensemble curve. The already-ranked
-  // fast path (no second sort) is exact only when every survivor is kept.
-  const size_t keep_count = static_cast<size_t>(
-      std::lround(params.selectivity * static_cast<double>(sample.size())));
-  spec.already_ranked = !params.filter_by_std || keep_count >= target;
-  spec.rank_population = sample.size();
-  std::vector<double> stds;
-  std::vector<bool> kept;
-  EnsembleResult out;
-  {
-    telemetry::ScopedTimer combine_timer(combine_hist);
-    out.density = CombineMemberCurves(curves, spec, &stds, &kept);
-  }
-  out.members.resize(sample.size());
-  for (size_t i = 0; i < sample.size(); ++i) {
-    out.members[i] =
-        EnsembleMember{sample[i].paa_size, sample[i].alphabet_size, 0.0, false};
-  }
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    out.members[survivors[i]].std_dev = stds[i];
-    out.members[survivors[i]].kept = kept[i];
   }
   if (artifacts != nullptr) artifacts->discretized = std::move(discretized);
   return out;
 }
 
 }  // namespace
+
+Result<std::vector<std::vector<double>>> ComputeMemberDensityCurves(
+    std::span<const double> series, const EnsembleParams& params,
+    std::vector<sax::WaParam>* out_sample, EnsembleArtifacts* artifacts) {
+  EGI_ASSIGN_OR_RETURN(auto built, BuildMemberCurves(series, params,
+                                                     /*screen=*/false,
+                                                     artifacts));
+  if (out_sample != nullptr) *out_sample = std::move(built.sample);
+  return std::move(built.curves);
+}
 
 EnsembleParams EnsembleParamsForWindow(EnsembleParams params,
                                        size_t window_length) {
@@ -445,44 +399,47 @@ Result<EnsembleResult> ComputeEnsembleDensity(std::span<const double> series,
   telemetry::ScopedTimer compute_timer(compute_hist);
   runs->Add(1);
 
-  // Two-stage construction (opt-in): screen all N candidates cheaply, build
-  // only the top prune_to. A prune_to of 0 — or one that does not actually
-  // cut the sample — takes the exact Algorithm 1 path below.
-  if (params.prune_to > 0) {
-    EGI_RETURN_IF_ERROR(sax::ValidateSeriesValues(series));
-    EGI_RETURN_IF_ERROR(ValidateEnsembleParams(series.size(), params));
-    const auto sample = DrawParameterSample(params.wmax, params.amax,
-                                            params.ensemble_size, params.seed);
-    if (static_cast<size_t>(params.prune_to) < sample.size()) {
-      auto out = ComputePrunedEnsembleDensity(series, params, sample, artifacts);
-      if (out.ok()) {
-        size_t kept_count = 0;
-        for (const auto& m : out->members) kept_count += m.kept ? 1 : 0;
-        kept_counter->Add(kept_count);
-      }
-      return out;
-    }
-  }
+  EGI_ASSIGN_OR_RETURN(auto built, BuildMemberCurves(series, params,
+                                                     /*screen=*/true,
+                                                     artifacts));
+  const size_t population = built.sample.size();
+  const bool pruned = built.survivors.size() < population;
 
-  std::vector<sax::WaParam> sample;
-  EGI_ASSIGN_OR_RETURN(
-      auto curves,
-      ComputeMemberDensityCurves(series, params, &sample, artifacts));
-
+  // The std filter keeps round(tau * N) curves of the full draw, ranked by
+  // their real (post-induction) curve std. Unpruned, that is exactly
+  // Algorithm 1. Pruned, it is the same treatment restricted to the
+  // survivors — complete screening coverage implies a bitwise-identical
+  // ensemble curve — and the survivors arrive in screening order, so the
+  // already-ranked fast path (no second sort) applies whenever every
+  // survivor is kept.
+  CombineSpec spec;
+  spec.selectivity = params.selectivity;
+  spec.combine = params.combine;
+  spec.normalize = params.normalize;
+  spec.filter_by_std = params.filter_by_std;
+  const size_t keep_count = static_cast<size_t>(
+      std::lround(params.selectivity * static_cast<double>(population)));
+  spec.already_ranked = pruned && (!params.filter_by_std ||
+                                   keep_count >= built.survivors.size());
+  spec.rank_population = population;
   std::vector<double> stds;
   std::vector<bool> kept;
   EnsembleResult out;
   {
     telemetry::ScopedTimer combine_timer(combine_hist);
-    out.density = CombineMemberCurves(curves, params.selectivity,
-                                      params.combine, params.normalize,
-                                      params.filter_by_std, &stds, &kept);
+    out.density = CombineMemberCurves(built.curves, spec, &stds, &kept);
+  }
+
+  // Members that were screened out report std_dev 0 and kept == false.
+  out.members.resize(population);
+  for (size_t i = 0; i < population; ++i) {
+    out.members[i] = EnsembleMember{built.sample[i].paa_size,
+                                    built.sample[i].alphabet_size, 0.0, false};
   }
   size_t kept_count = 0;
-  out.members.resize(sample.size());
-  for (size_t i = 0; i < sample.size(); ++i) {
-    out.members[i] = EnsembleMember{sample[i].paa_size,
-                                    sample[i].alphabet_size, stds[i], kept[i]};
+  for (size_t i = 0; i < built.survivors.size(); ++i) {
+    out.members[built.survivors[i]].std_dev = stds[i];
+    out.members[built.survivors[i]].kept = kept[i];
     kept_count += kept[i] ? 1 : 0;
   }
   kept_counter->Add(kept_count);

@@ -107,7 +107,9 @@ EnsembleParams EnsembleParamsForWindow(EnsembleParams params,
                                        size_t window_length);
 
 /// Lines 4-6 of Algorithm 1 in isolation: the N raw member density curves
-/// for the parameter draw of `params` (before filtering/normalization).
+/// for the parameter draw of `params` (before filtering/normalization),
+/// built by ComputeEnsembleDensity's construction with screening off —
+/// `prune_to` is ignored and every drawn member is built.
 /// `out_sample` (optional) receives the drawn (w, a) pairs. Exposed so the
 /// N- and tau-sweep benches can compute member curves once and re-combine
 /// them many ways; a prefix of a without-replacement draw is itself a valid

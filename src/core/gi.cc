@@ -37,13 +37,11 @@ GiRun RunGrammarInductionOnTokens(const sax::DiscretizedSeries& discretized,
 
 Result<GiRun> RunGrammarInduction(std::span<const double> series,
                                   const GiParams& params) {
-  sax::SaxParams sp;
-  sp.window_length = params.window_length;
-  sp.paa_size = params.paa_size;
-  sp.alphabet_size = params.alphabet_size;
-  sp.norm_threshold = params.norm_threshold;
-  sp.numerosity_reduction = params.numerosity_reduction;
-  EGI_ASSIGN_OR_RETURN(auto discretized, sax::DiscretizeSeries(series, sp));
+  const sax::MultiResSaxEncoder encoder(
+      series, params.window_length, params.alphabet_size,
+      params.norm_threshold, params.numerosity_reduction);
+  EGI_ASSIGN_OR_RETURN(auto discretized,
+                       encoder.Encode(params.paa_size, params.alphabet_size));
   return RunGrammarInductionOnTokens(discretized, params.boundary_correction);
 }
 
@@ -111,6 +109,15 @@ Result<GiParams> SelectGiParams(std::span<const double> series,
   const int wmax_clamped = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(wmax), window_length));
 
+  // The whole grid is discretized in one EncodeAll: one PAA pass per w,
+  // shared across every a (paper Section 6.2).
+  std::vector<sax::WaParam> grid;
+  for (int w = 2; w <= wmax_clamped; ++w) {
+    for (int a = 2; a <= amax; ++a) grid.push_back(sax::WaParam{w, a});
+  }
+  const sax::MultiResSaxEncoder encoder(prefix, window_length, amax);
+  EGI_ASSIGN_OR_RETURN(auto encoded, encoder.EncodeAll(grid));
+
   // Two-part MDL over the grid: bits to describe the grammar (the model)
   // plus bits to describe what the discretization discarded (the residual,
   // via the differential entropy of a Gaussian with the measured variance).
@@ -120,33 +127,28 @@ Result<GiParams> SelectGiParams(std::span<const double> series,
   double best_cost = std::numeric_limits<double>::infinity();
   GiParams best;
   best.window_length = window_length;
-  for (int w = 2; w <= wmax_clamped; ++w) {
-    for (int a = 2; a <= amax; ++a) {
-      GiParams p;
-      p.window_length = window_length;
-      p.paa_size = w;
-      p.alphabet_size = a;
-      EGI_ASSIGN_OR_RETURN(auto run, RunGrammarInduction(prefix, p));
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const auto [w, a] = grid[i];
+    const GiRun run = RunGrammarInductionOnTokens(encoded[i]);
 
-      const double vocab =
-          static_cast<double>(run.vocabulary + run.num_rules + 1);
-      const double model_bits_per_point =
-          static_cast<double>(run.grammar_symbols) *
-          std::log2(std::max(2.0, vocab)) /
-          static_cast<double>(prefix.size());
+    const double vocab =
+        static_cast<double>(run.vocabulary + run.num_rules + 1);
+    const double model_bits_per_point =
+        static_cast<double>(run.grammar_symbols) *
+        std::log2(std::max(2.0, vocab)) / static_cast<double>(prefix.size());
 
-      const auto breakpoints = sax::GaussianBreakpoints(a);
-      const auto centroids = sax::GaussianRegionCentroids(a);
-      const double var = SaxResidualVariance(
-          prefix, stats, fast_paa, window_length, w, breakpoints, centroids);
-      const double residual_bits_per_point =
-          0.5 * std::log2(2.0 * M_PI * M_E * (var + 1e-12));
+    const auto breakpoints = sax::GaussianBreakpoints(a);
+    const auto centroids = sax::GaussianRegionCentroids(a);
+    const double var = SaxResidualVariance(
+        prefix, stats, fast_paa, window_length, w, breakpoints, centroids);
+    const double residual_bits_per_point =
+        0.5 * std::log2(2.0 * M_PI * M_E * (var + 1e-12));
 
-      const double cost = model_bits_per_point + residual_bits_per_point;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = p;
-      }
+    const double cost = model_bits_per_point + residual_bits_per_point;
+    if (cost < best_cost) {
+      best_cost = cost;
+      best.paa_size = w;
+      best.alphabet_size = a;
     }
   }
   return best;

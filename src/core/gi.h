@@ -6,7 +6,7 @@
 #include "egi/result.h"
 #include "grammar/grammar.h"
 #include "grammar/sequitur.h"
-#include "sax/sax_encoder.h"
+#include "sax/multires_encoder.h"
 #include "ts/stats.h"
 
 namespace egi::core {

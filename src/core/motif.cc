@@ -4,19 +4,18 @@
 #include <numeric>
 
 #include "grammar/sequitur.h"
-#include "sax/sax_encoder.h"
+#include "sax/multires_encoder.h"
 
 namespace egi::core {
 
 Result<std::vector<Motif>> DiscoverMotifs(std::span<const double> series,
                                           const MotifParams& params) {
-  sax::SaxParams sp;
-  sp.window_length = params.gi.window_length;
-  sp.paa_size = params.gi.paa_size;
-  sp.alphabet_size = params.gi.alphabet_size;
-  sp.norm_threshold = params.gi.norm_threshold;
-  sp.numerosity_reduction = params.gi.numerosity_reduction;
-  EGI_ASSIGN_OR_RETURN(auto discretized, sax::DiscretizeSeries(series, sp));
+  const sax::MultiResSaxEncoder encoder(
+      series, params.gi.window_length, params.gi.alphabet_size,
+      params.gi.norm_threshold, params.gi.numerosity_reduction);
+  EGI_ASSIGN_OR_RETURN(auto discretized,
+                       encoder.Encode(params.gi.paa_size,
+                                      params.gi.alphabet_size));
 
   const grammar::Grammar g = grammar::InduceGrammar(discretized.seq.tokens);
   const auto& offsets = discretized.seq.offsets;

@@ -10,7 +10,7 @@
 
 #include "discord/internal.h"
 #include "exec/parallel.h"
-#include "sax/sax_encoder.h"
+#include "sax/multires_encoder.h"
 #include "util/rng.h"
 
 namespace egi::discord {
@@ -75,12 +75,13 @@ Result<std::vector<Discord>> FindDiscordsHotSax(std::span<const double> series,
   const size_t exclusion = DefaultExclusionRadius(m);
 
   // SAX word per position (no numerosity reduction: HOTSAX needs all).
-  sax::SaxParams sp;
-  sp.window_length = m;
-  sp.paa_size = std::min<int>(options.paa_size, static_cast<int>(m));
-  sp.alphabet_size = options.alphabet_size;
-  sp.numerosity_reduction = false;
-  EGI_ASSIGN_OR_RETURN(auto discretized, sax::DiscretizeSeries(series, sp));
+  const sax::MultiResSaxEncoder encoder(series, m, options.alphabet_size,
+                                        ts::kDefaultNormThreshold,
+                                        /*numerosity_reduction=*/false);
+  EGI_ASSIGN_OR_RETURN(
+      auto discretized,
+      encoder.Encode(std::min<int>(options.paa_size, static_cast<int>(m)),
+                     options.alphabet_size));
   EGI_CHECK(discretized.seq.size() == count);
   const std::vector<int32_t>& word_of = discretized.seq.tokens;
 

@@ -12,8 +12,8 @@ namespace egi::sax {
 /// ESumxx prefix statistics. The mean/stddev of the subsequence come in O(1);
 /// each PAA segment sum is an O(1) fractional prefix-sum lookup.
 ///
-/// Matches paa::ZNormalizedPaa to floating-point accumulation error; the
-/// equivalence is covered by parameterized tests.
+/// Matches z-normalize-then-Paa (sax/paa.h) to floating-point accumulation
+/// error; the equivalence is covered by parameterized tests.
 class FastPaa {
  public:
   /// `stats` must outlive this object.

@@ -10,6 +10,53 @@
 
 namespace egi::sax {
 
+namespace {
+
+Status NonFiniteSeries() {
+  return Status::InvalidArgument(
+      "series contains non-finite values (NaN or Inf)");
+}
+
+Status ValidateSaxParams(size_t series_length, size_t window_length,
+                         int paa_size, int alphabet_size,
+                         double norm_threshold) {
+  if (window_length < 2) {
+    return Status::InvalidArgument("window length must be >= 2, got " +
+                                   std::to_string(window_length));
+  }
+  if (window_length > series_length) {
+    return Status::InvalidArgument(
+        "window length " + std::to_string(window_length) +
+        " exceeds series length " + std::to_string(series_length));
+  }
+  if (paa_size < 1 || static_cast<size_t>(paa_size) > window_length) {
+    return Status::InvalidArgument("PAA size must be in [1, window], got " +
+                                   std::to_string(paa_size));
+  }
+  if (alphabet_size < kMinAlphabetSize || alphabet_size > kMaxAlphabetSize) {
+    return Status::InvalidArgument("alphabet size must be in [2, 64], got " +
+                                   std::to_string(alphabet_size));
+  }
+  if (!WordCodec::Supported(paa_size, alphabet_size)) {
+    return Status::InvalidArgument(
+        "SAX word (w=" + std::to_string(paa_size) +
+        ", a=" + std::to_string(alphabet_size) + ") needs " +
+        std::to_string(paa_size * BitsPerSymbol(alphabet_size)) +
+        " bits, exceeding the " + std::to_string(kWordCodeBits) +
+        "-bit packed word code; reduce w or a");
+  }
+  if (norm_threshold < 0.0) {
+    return Status::InvalidArgument("normalization threshold must be >= 0");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ValidateSeriesValues(std::span<const double> series) {
+  return ts::AllFinite(series) ? Status::OK() : NonFiniteSeries();
+}
+
 MultiResSaxEncoder::MultiResSaxEncoder(std::span<const double> series,
                                        size_t window_length, int amax,
                                        double norm_threshold,
@@ -17,8 +64,9 @@ MultiResSaxEncoder::MultiResSaxEncoder(std::span<const double> series,
     : window_length_(window_length),
       norm_threshold_(norm_threshold),
       numerosity_reduction_(numerosity_reduction),
+      finite_(ts::AllFinite(series)),
       stats_(series),
-      summary_(amax) {}
+      summary_(std::clamp(amax, kMinAlphabetSize, kMaxAlphabetSize)) {}
 
 Result<DiscretizedSeries> MultiResSaxEncoder::Encode(int paa_size,
                                                      int alphabet_size) const {
@@ -29,14 +77,12 @@ Result<DiscretizedSeries> MultiResSaxEncoder::Encode(int paa_size,
 
 Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
     std::span<const WaParam> params) const {
-  // Validate every request up front.
+  // Validate the series and every request up front.
+  if (!finite_) return NonFiniteSeries();
   for (const auto& p : params) {
-    SaxParams sp;
-    sp.window_length = window_length_;
-    sp.paa_size = p.paa_size;
-    sp.alphabet_size = p.alphabet_size;
-    sp.norm_threshold = norm_threshold_;
-    EGI_RETURN_IF_ERROR(ValidateSaxParams(stats_.size(), sp));
+    EGI_RETURN_IF_ERROR(ValidateSaxParams(stats_.size(), window_length_,
+                                          p.paa_size, p.alphabet_size,
+                                          norm_threshold_));
     if (p.alphabet_size > summary_.amax()) {
       return Status::InvalidArgument(
           "alphabet size " + std::to_string(p.alphabet_size) +
@@ -119,6 +165,16 @@ Result<std::vector<DiscretizedSeries>> MultiResSaxEncoder::EncodeAll(
     g = g_end;
   }
   return results;
+}
+
+Result<std::string> SaxWordForSubsequence(std::span<const double> values,
+                                          int paa_size, int alphabet_size,
+                                          double norm_threshold) {
+  const MultiResSaxEncoder encoder(values, values.size(), alphabet_size,
+                                   norm_threshold,
+                                   /*numerosity_reduction=*/false);
+  EGI_ASSIGN_OR_RETURN(auto encoded, encoder.Encode(paa_size, alphabet_size));
+  return encoded.table.Word(encoded.seq.tokens[0]);
 }
 
 }  // namespace egi::sax

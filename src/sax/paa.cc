@@ -30,16 +30,4 @@ void Paa(std::span<const double> values, int w, std::span<double> out) {
   }
 }
 
-void ZNormalizedPaa(std::span<const double> values, int w,
-                    std::span<double> out, double norm_threshold) {
-  std::vector<double> normed = ts::ZNormalized(values, norm_threshold);
-  Paa(normed, w, out);
-}
-
-std::vector<double> PaaOf(std::span<const double> values, int w) {
-  std::vector<double> out(static_cast<size_t>(w));
-  Paa(values, w, out);
-  return out;
-}
-
 }  // namespace egi::sax

@@ -1,26 +1,15 @@
 #pragma once
 
 #include <span>
-#include <vector>
-
-#include "ts/stats.h"
 
 namespace egi::sax {
 
 /// Piecewise Aggregate Approximation of an (already normalized) subsequence:
 /// splits `values` into `w` equal real-width segments (fractional boundaries
 /// handled exactly by weighting boundary samples) and averages each segment.
-/// This is the reference implementation; FastPaa must match it bit-closely
-/// and is validated against it in tests. Requires 1 <= w <= values.size().
+/// Requires 1 <= w <= values.size(). Used by the streaming detector's
+/// provisional scorer on its already-normalized window; batch encoding goes
+/// through FastPaa (sax/fast_paa.h), which tests check against this.
 void Paa(std::span<const double> values, int w, std::span<double> out);
-
-/// Z-normalizes `values` (flat-window convention from ts::ZNormalize), then
-/// applies PAA. This mirrors the SAX pipeline of Section 4.1.
-void ZNormalizedPaa(std::span<const double> values, int w,
-                    std::span<double> out,
-                    double norm_threshold = ts::kDefaultNormThreshold);
-
-/// Convenience allocating variant of Paa.
-std::vector<double> PaaOf(std::span<const double> values, int w);
 
 }  // namespace egi::sax

@@ -147,38 +147,59 @@ std::string JsonNumber(double value) {
   return buf;
 }
 
-bool JsonFindString(std::string_view body, std::string_view key,
-                    std::string* out) {
+namespace {
+
+// Index of the first byte of the value of a top-level `"key":` pair in a
+// flat JSON object (whitespace around the colon skipped), or npos. An
+// occurrence of "key" that no colon follows — inside another string value,
+// say — is skipped.
+size_t FindFieldValue(std::string_view body, std::string_view key) {
+  const auto skip_ws = [&](size_t i) {
+    while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
+                               body[i] == '\r' || body[i] == '\n')) {
+      ++i;
+    }
+    return i;
+  };
   std::string needle;
   needle.reserve(key.size() + 2);
   needle += '"';
   needle += key;
   needle += '"';
-  size_t pos = body.find(needle);
-  while (pos != std::string_view::npos) {
-    size_t i = pos + needle.size();
-    while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                               body[i] == '\r' || body[i] == '\n')) {
-      ++i;
-    }
-    if (i < body.size() && body[i] == ':') {
-      ++i;
-      while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                                 body[i] == '\r' || body[i] == '\n')) {
-        ++i;
-      }
-      if (i >= body.size() || body[i] != '"') return false;
-      const size_t start = ++i;
-      while (i < body.size() && body[i] != '"') {
-        i += body[i] == '\\' ? 2 : 1;
-      }
-      if (i >= body.size()) return false;  // unterminated
-      return JsonUnescape(body.substr(start, i - start), out);
-    }
-    // "key" matched inside some other string; keep looking.
-    pos = body.find(needle, pos + 1);
+  for (size_t pos = body.find(needle); pos != std::string_view::npos;
+       pos = body.find(needle, pos + 1)) {
+    const size_t i = skip_ws(pos + needle.size());
+    if (i < body.size() && body[i] == ':') return skip_ws(i + 1);
   }
-  return false;
+  return std::string_view::npos;
+}
+
+}  // namespace
+
+bool JsonFindString(std::string_view body, std::string_view key,
+                    std::string* out) {
+  size_t i = FindFieldValue(body, key);
+  if (i >= body.size() || body[i] != '"') return false;
+  const size_t start = ++i;
+  while (i < body.size() && body[i] != '"') {
+    i += body[i] == '\\' ? 2 : 1;
+  }
+  if (i >= body.size()) return false;  // unterminated
+  return JsonUnescape(body.substr(start, i - start), out);
+}
+
+bool JsonFindUInt(std::string_view body, std::string_view key,
+                  uint64_t* out) {
+  size_t i = FindFieldValue(body, key);
+  if (i >= body.size() || body[i] < '0' || body[i] > '9') return false;
+  uint64_t value = 0;
+  for (; i < body.size() && body[i] >= '0' && body[i] <= '9'; ++i) {
+    const auto digit = static_cast<uint64_t>(body[i] - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace egi

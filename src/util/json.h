@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -36,5 +37,11 @@ std::string JsonNumber(double value);
 /// round-trip. Shared by the egid daemon and the egid-router.
 bool JsonFindString(std::string_view body, std::string_view key,
                     std::string* out);
+
+/// The unsigned-integer twin of JsonFindString: the value of a top-level
+/// `"key":123` pair. Returns false when the key is absent, its value does
+/// not start with a digit, or the number exceeds UINT64_MAX.
+bool JsonFindUInt(std::string_view body, std::string_view key,
+                  uint64_t* out);
 
 }  // namespace egi

@@ -4,11 +4,13 @@
 #include <limits>
 #include <vector>
 
+#include "core/gi.h"
 #include "core/motif.h"
 #include "discord/hotsax.h"
 #include "discord/matrix_profile.h"
+#include "egi/primitives.h"
 #include "egi/session.h"
-#include "sax/sax_encoder.h"
+#include "sax/multires_encoder.h"
 #include "ts/prefix_stats.h"
 #include "ts/stats.h"
 #include "util/rng.h"
@@ -45,12 +47,25 @@ TEST(NonFiniteInputTest, AllFiniteDetectsNanAndInf) {
 }
 
 TEST(NonFiniteInputTest, DiscretizeRejects) {
-  sax::SaxParams p;
+  core::GiParams p;
   p.window_length = 20;
   for (double bad : {kNan, kInf, -kInf}) {
-    auto r = sax::DiscretizeSeries(SeriesWith(bad), p);
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    const auto series = SeriesWith(bad);
+    auto encoded = sax::MultiResSaxEncoder(series, 20, 4).Encode(4, 4);
+    EXPECT_FALSE(encoded.ok());
+    EXPECT_EQ(encoded.status().code(), StatusCode::kInvalidArgument);
+    auto run = core::RunGrammarInduction(series, p);
+    EXPECT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(NonFiniteInputTest, SaxWordRejects) {
+  for (double bad : {kNan, kInf, -kInf}) {
+    const std::vector<double> values{1, 2, bad, 4, 5, 6, 7, 8};
+    auto word = SaxWord(values, 4, 4);
+    EXPECT_FALSE(word.ok()) << bad;
+    EXPECT_EQ(word.status().code(), StatusCode::kInvalidArgument);
   }
 }
 
@@ -123,9 +138,7 @@ TEST(NumericalRobustnessTest, HugeOffsetDoesNotBreakZNormalization) {
   std::vector<double> window(v.begin() + 100, v.begin() + 200);
   EXPECT_NEAR(stats.RangeStdDev(100, 100), ts::SampleStdDev(window), 1e-4);
 
-  sax::SaxParams p;
-  p.window_length = 50;
-  auto d = sax::DiscretizeSeries(v, p);
+  auto d = sax::MultiResSaxEncoder(v, 50, 4).Encode(4, 4);
   ASSERT_TRUE(d.ok());
   // Periodic signal: the vocabulary stays small despite the offset.
   EXPECT_LT(d->table.size(), d->seq.size());
@@ -135,9 +148,7 @@ TEST(NumericalRobustnessTest, TinyAmplitudeBelowThresholdIsFlat) {
   std::vector<double> v(300);
   for (size_t i = 0; i < v.size(); ++i)
     v[i] = 1e-6 * std::sin(static_cast<double>(i) / 5.0);
-  sax::SaxParams p;
-  p.window_length = 30;
-  auto d = sax::DiscretizeSeries(v, p);
+  auto d = sax::MultiResSaxEncoder(v, 30, 4).Encode(4, 4);
   ASSERT_TRUE(d.ok());
   // Amplitude below the normalization threshold: every window is flat, one
   // token survives numerosity reduction.

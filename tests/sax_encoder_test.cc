@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "sax/breakpoints.h"
+#include "sax/fast_paa.h"
 #include "sax/multires_encoder.h"
 #include "sax/numerosity.h"
-#include "sax/sax_encoder.h"
 #include "sax/token_table.h"
+#include "ts/prefix_stats.h"
 #include "util/rng.h"
 
 namespace egi::sax {
@@ -151,44 +155,31 @@ TEST(SaxWordTest, InvalidParamsRejected) {
 }
 
 TEST(DiscretizeTest, RejectsUnpackableWordConfigurations) {
-  // ValidateSaxParams enforces w * BitsPerSymbol(a) <= 128 so every layer
+  // The encoder enforces w * BitsPerSymbol(a) <= 128 so every layer
   // downstream may assume words pack into one WordCode.
   std::vector<double> v(300, 0.0);
-  SaxParams p;
-  p.window_length = 100;
-  p.paa_size = 22;
-  p.alphabet_size = 64;  // 22 * 6 = 132 bits: rejected
-  EXPECT_FALSE(DiscretizeSeries(v, p).ok());
-  p.paa_size = 21;  // 126 bits: the widest supported a=64 word
-  EXPECT_TRUE(DiscretizeSeries(v, p).ok());
-  p.paa_size = 26;
-  p.alphabet_size = 20;  // 26 * 5 = 130 bits: rejected
-  EXPECT_FALSE(DiscretizeSeries(v, p).ok());
-  p.paa_size = 25;  // 125 bits
-  EXPECT_TRUE(DiscretizeSeries(v, p).ok());
+  const MultiResSaxEncoder encoder(v, 100, 64);
+  EXPECT_FALSE(encoder.Encode(22, 64).ok());  // 22 * 6 = 132 bits
+  EXPECT_TRUE(encoder.Encode(21, 64).ok());   // 126: widest a=64 word
+  EXPECT_FALSE(encoder.Encode(26, 20).ok());  // 26 * 5 = 130 bits
+  EXPECT_TRUE(encoder.Encode(25, 20).ok());   // 125 bits
 }
 
 TEST(DiscretizeTest, ValidatesParams) {
   std::vector<double> v(100, 0.0);
-  SaxParams p;
-  p.window_length = 0;
-  EXPECT_FALSE(DiscretizeSeries(v, p).ok());
-  p.window_length = 101;
-  EXPECT_FALSE(DiscretizeSeries(v, p).ok());
-  p.window_length = 10;
-  p.paa_size = 11;
-  EXPECT_FALSE(DiscretizeSeries(v, p).ok());
+  EXPECT_FALSE(MultiResSaxEncoder(v, 0, 4).Encode(4, 4).ok());
+  EXPECT_FALSE(MultiResSaxEncoder(v, 101, 4).Encode(4, 4).ok());
+  EXPECT_FALSE(MultiResSaxEncoder(v, 10, 4).Encode(11, 4).ok());
+  // An amax outside [2, 64] is reported by Encode, not at construction.
+  EXPECT_FALSE(MultiResSaxEncoder(v, 10, 1).Encode(4, 1).ok());
+  EXPECT_FALSE(MultiResSaxEncoder(v, 10, 100).Encode(4, 100).ok());
 }
 
 TEST(DiscretizeTest, OffsetsStrictlyIncreaseAndStartAtZero) {
   Rng rng(4);
   std::vector<double> v(500);
   for (auto& x : v) x = rng.Gaussian();
-  SaxParams p;
-  p.window_length = 50;
-  p.paa_size = 4;
-  p.alphabet_size = 4;
-  auto d = DiscretizeSeries(v, p);
+  auto d = MultiResSaxEncoder(v, 50, 4).Encode(4, 4);
   ASSERT_TRUE(d.ok());
   ASSERT_FALSE(d->seq.tokens.empty());
   EXPECT_EQ(d->seq.offsets.front(), 0u);
@@ -200,23 +191,16 @@ TEST(DiscretizeTest, OffsetsStrictlyIncreaseAndStartAtZero) {
 
 TEST(DiscretizeTest, NumerosityReductionCollapsesConstantSeries) {
   std::vector<double> v(200, 1.0);
-  SaxParams p;
-  p.window_length = 20;
-  p.paa_size = 4;
-  p.alphabet_size = 4;
-  auto d = DiscretizeSeries(v, p);
+  auto d = MultiResSaxEncoder(v, 20, 4).Encode(4, 4);
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->seq.size(), 1u);  // one token after reduction
 }
 
 TEST(DiscretizeTest, WithoutReductionOneTokenPerPosition) {
   std::vector<double> v(100, 1.0);
-  SaxParams p;
-  p.window_length = 10;
-  p.paa_size = 2;
-  p.alphabet_size = 2;
-  p.numerosity_reduction = false;
-  auto d = DiscretizeSeries(v, p);
+  const MultiResSaxEncoder encoder(v, 10, 2, ts::kDefaultNormThreshold,
+                                   /*numerosity_reduction=*/false);
+  auto d = encoder.Encode(2, 2);
   ASSERT_TRUE(d.ok());
   EXPECT_EQ(d->seq.size(), 91u);
 }
@@ -225,17 +209,45 @@ TEST(DiscretizeTest, PeriodicSeriesYieldsRepeatingTokens) {
   std::vector<double> v(400);
   for (size_t i = 0; i < v.size(); ++i)
     v[i] = std::sin(2.0 * M_PI * static_cast<double>(i) / 40.0);
-  SaxParams p;
-  p.window_length = 40;
-  p.paa_size = 4;
-  p.alphabet_size = 3;
-  auto d = DiscretizeSeries(v, p);
+  auto d = MultiResSaxEncoder(v, 40, 3).Encode(4, 3);
   ASSERT_TRUE(d.ok());
   // Perfectly periodic data: far fewer distinct words than tokens.
   EXPECT_LT(d->table.size(), d->seq.size());
 }
 
 // ----------------------------------------------------- multi-res encoder
+
+// Scalar single-resolution reference: per position, FastPaa::Compute, then
+// SymbolForValue over the alphabet's own GaussianBreakpoints, then
+// numerosity reduction. The encoder resolves symbols through the merged
+// breakpoint summary in blocked kernels; this checks it against
+// per-alphabet breakpoints. Returns the rendered word of each token.
+std::vector<std::string> ReferenceWords(const std::vector<double>& v,
+                                        size_t n, int w, int a,
+                                        std::vector<size_t>* offsets) {
+  const ts::PrefixStats stats(v);
+  const FastPaa fast_paa(&stats);
+  const auto bps = GaussianBreakpoints(a);
+  std::vector<double> coeffs(static_cast<size_t>(w));
+  std::vector<std::string> vocabulary;
+  std::map<std::string, int32_t> ids;
+  std::vector<int32_t> raw;
+  for (size_t p = 0; p + n <= v.size(); ++p) {
+    fast_paa.Compute(p, n, w, coeffs);
+    std::string word;
+    for (double c : coeffs) word += SymbolToChar(SymbolForValue(c, bps));
+    const auto [it, inserted] =
+        ids.emplace(word, static_cast<int32_t>(vocabulary.size()));
+    if (inserted) vocabulary.push_back(word);
+    raw.push_back(it->second);
+  }
+  const TokenSequence reduced = NumerosityReduce(raw);
+  *offsets = reduced.offsets;
+  std::vector<std::string> words;
+  for (int32_t t : reduced.tokens)
+    words.push_back(vocabulary[static_cast<size_t>(t)]);
+  return words;
+}
 
 class MultiResEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -248,23 +260,17 @@ TEST_P(MultiResEquivalenceTest, MatchesSingleResolutionEncoder) {
     v[i] = rng.Gaussian() + std::sin(static_cast<double>(i) / 15.0);
 
   const size_t n = 60;
-  SaxParams p;
-  p.window_length = n;
-  p.paa_size = w;
-  p.alphabet_size = a;
-  auto direct = DiscretizeSeries(v, p);
-  ASSERT_TRUE(direct.ok());
+  std::vector<size_t> offsets;
+  const auto words = ReferenceWords(v, n, w, a, &offsets);
 
   MultiResSaxEncoder encoder(v, n, /*amax=*/20);
   auto multi = encoder.Encode(w, a);
   ASSERT_TRUE(multi.ok());
 
-  ASSERT_EQ(multi->seq.size(), direct->seq.size());
-  EXPECT_EQ(multi->seq.offsets, direct->seq.offsets);
-  // Token ids are interned per-encoder; compare the rendered words.
+  ASSERT_EQ(multi->seq.size(), words.size());
+  EXPECT_EQ(multi->seq.offsets, offsets);
   for (size_t i = 0; i < multi->seq.size(); ++i) {
-    EXPECT_EQ(multi->table.Word(multi->seq.tokens[i]),
-              direct->table.Word(direct->seq.tokens[i]))
+    EXPECT_EQ(multi->table.Word(multi->seq.tokens[i]), words[i])
         << "token " << i;
   }
 }

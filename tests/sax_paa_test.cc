@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +12,20 @@
 
 namespace egi::sax {
 namespace {
+
+// The references FastPaa is checked against: PAA (sax/paa.h) of a copy, and
+// z-normalize-then-PAA — the SAX pipeline of Section 4.1 spelled out.
+std::vector<double> PaaOf(std::span<const double> values, int w) {
+  std::vector<double> out(static_cast<size_t>(w));
+  Paa(values, w, out);
+  return out;
+}
+
+void ZNormalizedPaa(std::span<const double> values, int w,
+                    std::span<double> out) {
+  const std::vector<double> normed = ts::ZNormalized(values);
+  Paa(normed, w, out);
+}
 
 // -------------------------------------------------------------- naive PAA
 

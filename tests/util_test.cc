@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -456,6 +457,42 @@ TEST(JsonTest, NumberRendersRoundTrippableOrNull) {
   EXPECT_EQ(JsonNumber(std::numeric_limits<double>::infinity()), "null");
   const std::string rendered = JsonNumber(0.1);
   EXPECT_DOUBLE_EQ(std::strtod(rendered.c_str(), nullptr), 0.1);
+}
+
+TEST(JsonTest, FindUIntRejectsOverflowAndAcceptsMax) {
+  uint64_t v = 7;
+  EXPECT_FALSE(JsonFindUInt(R"({"accepted":18446744073709551616})", "accepted",
+                            &v));
+  EXPECT_FALSE(JsonFindUInt(R"({"accepted":99999999999999999999})", "accepted",
+                            &v));
+  EXPECT_EQ(v, 7u);  // untouched on failure
+  ASSERT_TRUE(JsonFindUInt(R"({"accepted": 18446744073709551615})",
+                           "accepted", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  ASSERT_TRUE(JsonFindUInt(R"({"stream":0})", "stream", &v));
+  EXPECT_EQ(v, 0u);
+}
+
+TEST(JsonTest, FindFieldSkipsKeyThatAppearsAsAStringValue) {
+  uint64_t v = 0;
+  std::string s;
+  EXPECT_FALSE(JsonFindUInt(R"({"name":"accepted"})", "accepted", &v));
+  ASSERT_TRUE(
+      JsonFindUInt(R"({"name":"accepted","accepted":12})", "accepted", &v));
+  EXPECT_EQ(v, 12u);
+  EXPECT_FALSE(JsonFindString(R"({"label":"tenant"})", "tenant", &s));
+  ASSERT_TRUE(
+      JsonFindString(R"({"label":"tenant", "tenant" : "t1"})", "tenant", &s));
+  EXPECT_EQ(s, "t1");
+}
+
+TEST(JsonTest, FindUIntRejectsNonDigitValues) {
+  uint64_t v = 0;
+  EXPECT_FALSE(JsonFindUInt(R"({"accepted":"12"})", "accepted", &v));
+  EXPECT_FALSE(JsonFindUInt(R"({"accepted":-1})", "accepted", &v));
+  EXPECT_FALSE(JsonFindUInt(R"({"accepted":null})", "accepted", &v));
+  EXPECT_FALSE(JsonFindUInt(R"({"accepted":)", "accepted", &v));
+  EXPECT_FALSE(JsonFindUInt(R"({"stream":1})", "accepted", &v));
 }
 
 // ------------------------------------------------------------------ Table
