@@ -1,4 +1,4 @@
-// Streaming engine throughput: steady-state ingest rate (points/sec) of the
+// Streaming hub throughput: steady-state ingest rate (points/sec) of the
 // online ensemble detector as a function of (a) the refit interval — the
 // amortization knob trading model freshness for ingest speed — and (b) the
 // number of concurrent streams sharded across the thread pool.
@@ -28,11 +28,13 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "datasets/random_walk.h"
-#include "stream/engine.h"
+#include "egi/session.h"
+#include "stream/detector.h"
 #include "util/check.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -174,11 +176,11 @@ int RunRefitPolicyMode(bool json, bool quick) {
 
   struct PolicyRow {
     const char* name;
-    stream::RefitPolicy policy;
+    RefitPolicy policy;
   };
   const PolicyRow rows[] = {
-      {"fixed", stream::RefitPolicy::kFixed},
-      {"adaptive", stream::RefitPolicy::kAdaptive},
+      {"fixed", RefitPolicy::kFixed},
+      {"adaptive", RefitPolicy::kAdaptive},
   };
 
   uint64_t fixed_refits = 0;
@@ -203,7 +205,7 @@ int RunRefitPolicyMode(bool json, bool quick) {
       secs = std::min(secs, sw.ElapsedSeconds());
       refits = detector.refit_count() - warm_refits;
     }
-    if (row.policy == stream::RefitPolicy::kFixed) fixed_refits = refits;
+    if (row.policy == RefitPolicy::kFixed) fixed_refits = refits;
 
     // Agreement pass (untimed): replay once more; every refit supersedes
     // the provisional scores issued since the previous one, so compare each
@@ -218,7 +220,7 @@ int RunRefitPolicyMode(bool json, bool quick) {
     double abs_err = 0.0;
     size_t compared = 0;
     for (const double v : data) {
-      const stream::ScoredPoint pt = detector.Append(v);
+      const StreamPoint pt = detector.Append(v);
       if (pt.refit) {
         // Snapshot entries are oldest-first; the last one is the refit
         // point itself and the pending points sit directly before it.
@@ -311,7 +313,7 @@ int main(int argc, char** argv) {
   const exec::Parallelism par = exec::Parallelism::FromEnv();
 
   if (!json) {
-    std::printf("== Streaming detection engine: ingest throughput ==\n");
+    std::printf("== Streaming detection hub: ingest throughput ==\n");
     std::printf(
         "window %zu, buffer %zu, %zu measured points/stream, threads=%d, "
         "hardware_concurrency=%u%s\n\n",
@@ -325,15 +327,18 @@ int main(int argc, char** argv) {
 
   for (const size_t refit_interval : refit_intervals) {
     for (const size_t num_streams : stream_counts) {
-      stream::StreamEngineOptions opt;
-      opt.detector.ensemble.window_length = window;
-      opt.detector.ensemble.wmax = 8;
-      opt.detector.ensemble.amax = 8;
-      opt.detector.ensemble.ensemble_size = 20;
-      opt.detector.buffer_capacity = buffer_capacity;
-      opt.detector.refit_interval = refit_interval;
-      opt.parallelism = par;
-      stream::StreamEngine engine(opt);
+      // The public hub over "ensemble:wmax=8,amax=8,n=20": every other
+      // Algorithm 1 knob and stream option at its default.
+      auto session = Session::Open("ensemble:wmax=8,amax=8,n=20,threads=" +
+                                   std::to_string(par.threads));
+      EGI_CHECK(session.ok()) << session.status().ToString();
+      StreamOptions opt;
+      opt.window_length = window;
+      opt.buffer_capacity = buffer_capacity;
+      opt.refit_interval = refit_interval;
+      auto hub_or = session->OpenHub(opt);
+      EGI_CHECK(hub_or.ok()) << hub_or.status().ToString();
+      StreamHub hub = std::move(*hub_or);
 
       // Pre-generate per-stream data: warmup (fill the buffer, guaranteeing
       // at least one refit) + the measured steady-state stretch.
@@ -343,27 +348,27 @@ int main(int argc, char** argv) {
         Rng rng(7000 + s);
         data.push_back(
             datasets::MakeRandomWalk(warmup + measure_per_stream, rng));
-        engine.AddStream();
+        hub.AddStream();
       }
 
       auto ingest_range = [&](size_t begin, size_t end) {
         for (size_t off = begin; off < end; off += chunk) {
           const size_t len = std::min(chunk, end - off);
-          std::vector<stream::StreamBatch> batches;
+          std::vector<HubBatch> batches;
           batches.reserve(num_streams);
           for (size_t s = 0; s < num_streams; ++s) {
-            batches.push_back(stream::StreamBatch{
-                s, std::span<const double>(data[s]).subspan(off, len)});
+            batches.push_back(
+                HubBatch{s, std::span<const double>(data[s]).subspan(off, len)});
           }
-          engine.Ingest(batches);
+          hub.Ingest(batches);
         }
       };
 
       ingest_range(0, warmup);
       uint64_t warmup_refits = 0;
       for (size_t s = 0; s < num_streams; ++s) {
-        EGI_CHECK(engine.detector(s).fitted()) << "warmup did not refit";
-        warmup_refits += engine.detector(s).refit_count();
+        EGI_CHECK(hub.Stats(s).fitted) << "warmup did not refit";
+        warmup_refits += hub.Stats(s).refit_count;
       }
 
       Stopwatch sw;
@@ -373,7 +378,7 @@ int main(int argc, char** argv) {
       // Refits in the measured phase only (refit_count is cumulative).
       uint64_t refits = 0;
       for (size_t s = 0; s < num_streams; ++s) {
-        refits += engine.detector(s).refit_count();
+        refits += hub.Stats(s).refit_count;
       }
       refits -= warmup_refits;
       const size_t total_points = num_streams * measure_per_stream;

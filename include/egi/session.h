@@ -21,15 +21,6 @@
 
 namespace egi {
 
-/// When a streaming session replays the batch algorithm (see DESIGN.md,
-/// "Adaptive ensembles & refit policy").
-enum class RefitPolicy : uint8_t {
-  kFixed = 0,     ///< every refit_interval appends (the classic cadence)
-  kAdaptive = 1,  ///< drift-gated: the cadence stretches while the
-                  ///< provisional score distribution stays inside a
-                  ///< tolerance band, and snaps back on drift
-};
-
 /// Configuration of a streaming session opened from a batch Session. The
 /// Algorithm 1 knobs (wmax, amax, n, tau, seed, prune_to, threads) come from
 /// the owning Session's spec; these are the stream-shape knobs.
@@ -55,20 +46,7 @@ struct StreamOptions {
   double drift_tolerance = 0.25;
 };
 
-/// One scored stream point, as returned by StreamSession::Append and
-/// delivered to StreamHub callbacks.
-struct StreamPoint {
-  uint64_t index = 0;   ///< 0-based position in the stream since creation
-  double value = 0.0;   ///< the ingested value
-  double score = 0.0;   ///< ensemble rule density in [0, 1]; LOW = anomalous
-  bool scored = false;  ///< false until the first refit has fitted a model,
-                        ///< and for rejected (non-finite) values
-  bool provisional = false;  ///< true when produced by the incremental path
-                             ///< (superseded by the next refit)
-  bool refit = false;        ///< this append completed a full batch refit
-};
-
-/// A single online detection stream (the façade over the streaming engine's
+/// A single online detection stream (the façade over the streaming layer's
 /// single-stream detector). Obtained from Session::OpenStream or restored
 /// from a Checkpoint() blob; move-only and not thread-safe — shard many
 /// streams with a StreamHub.
@@ -140,11 +118,11 @@ struct HubStreamStats {
   size_t window_length = 0;     ///< the stream's sliding-window length n
 };
 
-/// Multi-tenant streaming façade (wraps the sharded streaming engine): owns
-/// many independent streams and shards per-stream ingest batches across the
-/// shared thread pool. Per-stream results are bitwise-identical for every
-/// thread count. Checkpoint()/Restore() capture and restore every stream as
-/// one all-or-nothing blob.
+/// Multi-tenant streaming container: owns many independent stream detectors
+/// and shards per-stream ingest batches across the shared thread pool.
+/// Per-stream results are bitwise-identical for every thread count.
+/// Checkpoint()/Restore() capture and restore every stream as one
+/// all-or-nothing blob.
 class StreamHub {
  public:
   /// Per-point delivery hook; invoked on the worker thread that advanced

@@ -2,6 +2,7 @@
 
 #include <pthread.h>
 
+#include <algorithm>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -9,8 +10,10 @@
 
 #include "api/internal.h"
 #include "egi/telemetry.h"
+#include "exec/parallel.h"
+#include "serialize/format.h"
 #include "stream/detector.h"
-#include "stream/engine.h"
+#include "util/check.h"
 
 namespace egi {
 
@@ -25,17 +28,6 @@ Detection ToDetection(const core::Anomaly& a) {
   d.severity = a.severity;
   d.run_length = a.run_length;
   return d;
-}
-
-StreamPoint ToStreamPoint(const stream::ScoredPoint& p) {
-  StreamPoint out;
-  out.index = p.index;
-  out.value = p.value;
-  out.score = p.score;
-  out.scored = p.scored;
-  out.provisional = p.provisional;
-  out.refit = p.refit;
-  return out;
 }
 
 }  // namespace
@@ -54,16 +46,11 @@ StreamSession& StreamSession::operator=(StreamSession&&) noexcept = default;
 StreamSession::~StreamSession() = default;
 
 StreamPoint StreamSession::Append(double value) {
-  return ToStreamPoint(impl_->detector.Append(value));
+  return impl_->detector.Append(value);
 }
 
 std::vector<StreamPoint> StreamSession::Ingest(std::span<const double> values) {
-  std::vector<StreamPoint> out;
-  out.reserve(values.size());
-  for (const stream::ScoredPoint& p : impl_->detector.Ingest(values)) {
-    out.push_back(ToStreamPoint(p));
-  }
-  return out;
+  return impl_->detector.Ingest(values);
 }
 
 Status StreamSession::ForceRefit() { return impl_->detector.ForceRefit(); }
@@ -105,10 +92,45 @@ Result<StreamSession> StreamSession::Restore(std::span<const uint8_t> blob) {
 
 // ----------------------------------------------------------------- StreamHub
 
+// The hub owns its detectors directly: stream ids index `streams` and
+// `callbacks`, and batch work is sharded with one chunk per stream, so each
+// detector is only ever touched by one worker per call. That is why
+// detectors need no locks and why every per-stream output is identical for
+// every thread count.
 struct StreamHub::Impl {
-  explicit Impl(stream::StreamEngineOptions options)
-      : engine(std::move(options)) {}
-  stream::StreamEngine engine;
+  explicit Impl(stream::StreamDetectorOptions options)
+      : defaults(std::move(options)),
+        parallelism(defaults.ensemble.parallelism) {}
+
+  void CheckStream(size_t id) const {
+    EGI_CHECK(id < streams.size()) << "unknown stream " << id;
+  }
+  stream::StreamDetector& At(size_t id) const {
+    CheckStream(id);
+    return *streams[id];
+  }
+
+  void IngestOne(size_t id, std::span<const double> values,
+                 std::vector<StreamPoint>* out) {
+    // Ingest latency is measured here, per batch, not per point: one clock
+    // pair amortized over the whole span keeps the enabled overhead on the
+    // Append hot path to counter increments only.
+    static auto* batch_hist =
+        Telemetry().GetHistogram("stream.ingest_batch_seconds");
+    telemetry::ScopedTimer timer(batch_hist);
+    stream::StreamDetector& detector = *streams[id];
+    const Callback& callback = callbacks[id];
+    for (const double v : values) {
+      const StreamPoint pt = detector.Append(v);
+      if (callback) callback(id, pt);
+      if (out != nullptr) out->push_back(pt);
+    }
+  }
+
+  stream::StreamDetectorOptions defaults;  // every AddStream() uses these
+  exec::Parallelism parallelism;           // shards batches across streams
+  std::vector<std::unique_ptr<stream::StreamDetector>> streams;
+  std::vector<Callback> callbacks;  // parallel to streams
 };
 
 StreamHub::StreamHub(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
@@ -116,43 +138,54 @@ StreamHub::StreamHub(StreamHub&&) noexcept = default;
 StreamHub& StreamHub::operator=(StreamHub&&) noexcept = default;
 StreamHub::~StreamHub() = default;
 
-size_t StreamHub::AddStream() { return impl_->engine.AddStream(); }
+size_t StreamHub::AddStream() {
+  impl_->streams.push_back(
+      std::make_unique<stream::StreamDetector>(impl_->defaults));
+  impl_->callbacks.emplace_back();
+  return impl_->streams.size() - 1;
+}
 
 void StreamHub::SetCallback(size_t stream, Callback callback) {
-  if (callback == nullptr) {
-    impl_->engine.SetCallback(stream, nullptr);
-    return;
-  }
-  impl_->engine.SetCallback(
-      stream, [cb = std::move(callback)](stream::StreamId id,
-                                         const stream::ScoredPoint& p) {
-        cb(id, ToStreamPoint(p));
-      });
+  impl_->CheckStream(stream);
+  impl_->callbacks[stream] = std::move(callback);
 }
 
 void StreamHub::Ingest(std::span<const HubBatch> batches) {
-  std::vector<stream::StreamBatch> internal;
-  internal.reserve(batches.size());
+  // Each stream must be advanced by exactly one worker for the lock-free
+  // sharding to be sound; reject duplicate ids up front.
+  std::vector<size_t> ids;
+  ids.reserve(batches.size());
   for (const HubBatch& b : batches) {
-    internal.push_back(stream::StreamBatch{b.stream, b.values});
+    impl_->CheckStream(b.stream);
+    ids.push_back(b.stream);
   }
-  impl_->engine.Ingest(internal);
+  std::sort(ids.begin(), ids.end());
+  EGI_CHECK(std::adjacent_find(ids.begin(), ids.end()) == ids.end())
+      << "duplicate stream id in one Ingest call";
+
+  // One chunk per batch: streams advance independently, so the result is
+  // identical for every thread count. Refits inside a worker run serially
+  // (nested parallel regions execute inline).
+  exec::ParallelFor(impl_->parallelism, 0, batches.size(), /*grain=*/1,
+                    [&](size_t i) {
+                      impl_->IngestOne(batches[i].stream, batches[i].values,
+                                       /*out=*/nullptr);
+                    });
 }
 
 std::vector<StreamPoint> StreamHub::Ingest(size_t stream,
                                            std::span<const double> values) {
+  impl_->CheckStream(stream);
   std::vector<StreamPoint> out;
   out.reserve(values.size());
-  for (const stream::ScoredPoint& p : impl_->engine.Ingest(stream, values)) {
-    out.push_back(ToStreamPoint(p));
-  }
+  impl_->IngestOne(stream, values, &out);
   return out;
 }
 
-size_t StreamHub::num_streams() const { return impl_->engine.num_streams(); }
+size_t StreamHub::num_streams() const { return impl_->streams.size(); }
 
 HubStreamStats StreamHub::Stats(size_t stream) const {
-  const stream::StreamDetector& d = impl_->engine.detector(stream);
+  const stream::StreamDetector& d = impl_->At(stream);
   HubStreamStats out;
   out.total_appended = d.total_appended();
   out.buffered = d.buffered();
@@ -164,8 +197,7 @@ HubStreamStats StreamHub::Stats(size_t stream) const {
 
 std::vector<double> StreamHub::RecentScores(size_t stream,
                                             size_t max_points) const {
-  std::vector<double> scores =
-      impl_->engine.detector(stream).ScoresSnapshot();
+  std::vector<double> scores = impl_->At(stream).ScoresSnapshot();
   if (scores.size() > max_points) {
     scores.erase(scores.begin(),
                  scores.end() - static_cast<ptrdiff_t>(max_points));
@@ -174,26 +206,85 @@ std::vector<double> StreamHub::RecentScores(size_t stream,
 }
 
 std::vector<uint8_t> StreamHub::Checkpoint() const {
-  return impl_->engine.SaveAll();
+  return Checkpoint(SectionGuard());
 }
 
 std::vector<uint8_t> StreamHub::Checkpoint(const SectionGuard& guard) const {
-  if (!guard) return impl_->engine.SaveAll();
-  return impl_->engine.SaveAll(
-      [&guard](stream::StreamId id, bool acquire) { guard(id, acquire); });
+  // Per-stream detector blobs, produced concurrently. Each section is a
+  // full detector snapshot (own envelope + checksum), so CheckpointStream()
+  // and a section split out of this blob are the same bytes.
+  const auto& streams = impl_->streams;
+  std::vector<std::vector<uint8_t>> sections(streams.size());
+  exec::ParallelFor(impl_->parallelism, 0, streams.size(), /*grain=*/1,
+                    [&](size_t i) {
+                      if (!guard) {
+                        sections[i] = streams[i]->Serialize();
+                        return;
+                      }
+                      guard(i, /*acquire=*/true);
+                      try {
+                        sections[i] = streams[i]->Serialize();
+                      } catch (...) {
+                        guard(i, /*acquire=*/false);
+                        throw;
+                      }
+                      guard(i, /*acquire=*/false);
+                    });
+
+  std::vector<uint8_t> blob = serialize::JoinEngineSections(sections);
+  Telemetry().journal().Emit("engine.save_all",
+                             {{"streams", std::to_string(sections.size())},
+                              {"bytes", std::to_string(blob.size())}});
+  return blob;
 }
 
 Status StreamHub::Restore(std::span<const uint8_t> blob) {
-  return impl_->engine.LoadAll(blob);
+  EGI_ASSIGN_OR_RETURN(const auto sections,
+                       serialize::SplitEngineSections(blob));
+  const size_t count = sections.size();
+
+  // Decode all sections concurrently; commit only if every one restored.
+  std::vector<std::unique_ptr<stream::StreamDetector>> restored(count);
+  std::vector<Status> statuses(count);
+  exec::ParallelFor(impl_->parallelism, 0, count, /*grain=*/1, [&](size_t i) {
+    auto result = stream::StreamDetector::Deserialize(sections[i]);
+    if (result.ok()) {
+      restored[i] = std::make_unique<stream::StreamDetector>(std::move(*result));
+    } else {
+      statuses[i] = result.status();
+    }
+  });
+  for (size_t i = 0; i < count; ++i) {
+    if (!statuses[i].ok()) {
+      return Status(statuses[i].code(), "stream " + std::to_string(i) + ": " +
+                                            statuses[i].message());
+    }
+  }
+  impl_->streams = std::move(restored);
+  impl_->callbacks.assign(count, Callback());
+  Telemetry().journal().Emit("engine.load_all",
+                             {{"streams", std::to_string(count)},
+                              {"bytes", std::to_string(blob.size())}});
+  return Status::OK();
 }
 
 Result<std::vector<uint8_t>> StreamHub::CheckpointStream(size_t stream) const {
-  return impl_->engine.SaveStream(stream);
+  if (stream >= impl_->streams.size()) {
+    return Status::NotFound("unknown stream " + std::to_string(stream));
+  }
+  return impl_->streams[stream]->Serialize();
 }
 
 Status StreamHub::RestoreStream(size_t stream,
                                 std::span<const uint8_t> blob) {
-  return impl_->engine.LoadStream(stream, blob);
+  if (stream >= impl_->streams.size()) {
+    return Status::NotFound("unknown stream " + std::to_string(stream));
+  }
+  EGI_ASSIGN_OR_RETURN(auto detector, stream::StreamDetector::Deserialize(blob));
+  impl_->streams[stream] =
+      std::make_unique<stream::StreamDetector>(std::move(detector));
+  impl_->callbacks[stream] = Callback();
+  return Status::OK();
 }
 
 // ------------------------------------------------------------------- Session
@@ -327,9 +418,7 @@ Result<stream::StreamDetectorOptions> StreamOptionsFor(
   out.ensemble.window_length = options.window_length;
   out.buffer_capacity = options.buffer_capacity;
   out.refit_interval = options.refit_interval;
-  out.refit_policy = options.refit_policy == RefitPolicy::kAdaptive
-                         ? stream::RefitPolicy::kAdaptive
-                         : stream::RefitPolicy::kFixed;
+  out.refit_policy = options.refit_policy;
   out.refit_interval_max = options.refit_interval_max;
   out.drift_tolerance = options.drift_tolerance;
   EGI_RETURN_IF_ERROR(stream::StreamDetector::ValidateOptions(out));
@@ -348,11 +437,8 @@ Result<StreamSession> Session::OpenStream(const StreamOptions& options) const {
 Result<StreamHub> Session::OpenHub(const StreamOptions& options) const {
   EGI_ASSIGN_OR_RETURN(auto detector_options,
                        StreamOptionsFor(*impl_->entry, impl_->values, options));
-  stream::StreamEngineOptions engine_options;
-  engine_options.detector = detector_options;
-  engine_options.parallelism = detector_options.ensemble.parallelism;
   return StreamHub(
-      std::make_unique<StreamHub::Impl>(std::move(engine_options)));
+      std::make_unique<StreamHub::Impl>(std::move(detector_options)));
 }
 
 }  // namespace egi

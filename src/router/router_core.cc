@@ -52,7 +52,7 @@ bool ParseShardsBody(std::string_view body, std::vector<std::string>* out) {
   if (i >= body.size() || body[i] != '[') return false;
   ++i;
   skip_ws();
-  if (i < body.size() && body[i] == ']') return !out->empty() || true;
+  if (i < body.size() && body[i] == ']') return true;
   while (true) {
     skip_ws();
     if (i >= body.size() || body[i] != '"') return false;
@@ -750,25 +750,6 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
 
 // ----------------------------------------------------------- control plane
 
-namespace {
-
-/// "/v1/streams/<gid>" → gid (no suffix accepted on the router).
-bool ParseStreamPath(std::string_view path, size_t* gid) {
-  constexpr std::string_view kPrefix = "/v1/streams/";
-  if (path.substr(0, kPrefix.size()) != kPrefix) return false;
-  const std::string_view digits = path.substr(kPrefix.size());
-  if (digits.empty() || digits.size() > 18) return false;
-  size_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<size_t>(c - '0');
-  }
-  *gid = value;
-  return true;
-}
-
-}  // namespace
-
 size_t RouterCore::num_streams() const {
   std::shared_lock<std::shared_mutex> lock(impl_->table_mu);
   size_t live = 0;
@@ -915,7 +896,13 @@ std::string RouterCore::Handle(const HttpRequest& request) {
     }
     return RenderHttpError(405, "use GET or POST");
   }
-  if (size_t gid = 0; ParseStreamPath(request.path, &gid)) {
+  std::string_view suffix;
+  if (size_t gid = 0; service::ParseStreamPath(request.path, &gid, &suffix)) {
+    // Per-stream sub-resources (checkpoint export/import) are shard-local;
+    // the router serves only the stream itself.
+    if (!suffix.empty()) {
+      return RenderHttpError(404, "no route for " + std::string(request.path));
+    }
     if (request.method != "GET" && request.method != "DELETE") {
       return RenderHttpError(405, "use GET or DELETE");
     }

@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "egi/result.h"
 #include "egi/status.h"
 
 namespace egi::serialize {
@@ -20,7 +21,7 @@ inline constexpr uint8_t kSnapshotMagic[4] = {'E', 'G', 'I', 'S'};
 /// [kMinSnapshotVersion, kSnapshotVersion] and the per-kind decoders skip
 /// the sections an older revision did not write.
 ///
-/// History: v1 = the original StreamDetector/StreamEngine layout; v2 adds
+/// History: v1 = the original detector and hub-checkpoint layout; v2 adds
 /// the adaptive-cadence options (prune_to, refit_policy, refit_interval_max,
 /// drift_tolerance) and drift-gate runtime state. tests/stream_snapshot_test
 /// pins both: the v1 golden fixture must keep decoding, the v2 golden pins
@@ -29,13 +30,13 @@ inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr uint32_t kMinSnapshotVersion = 1;
 
 /// What a blob contains; part of the envelope so a detector snapshot can
-/// never be restored as an engine checkpoint or vice versa.
+/// never be restored as a hub checkpoint or vice versa.
 enum class BlobKind : uint8_t {
   kStreamDetector = 1,  ///< one StreamDetector (StreamDetector::Serialize)
-  kStreamEngine = 2,    ///< all streams of a StreamEngine (SaveAll)
+  kStreamHub = 2,       ///< all streams of a StreamHub (StreamHub::Checkpoint)
   kServiceCheckpoint = 3,  ///< egid daemon checkpoint: stream manifest
                            ///< (tenants, names, tombstones) + the enclosed
-                           ///< StreamEngine blob (src/service/hub_service.cc)
+                           ///< StreamHub blob (src/service/hub_service.cc)
 };
 
 /// CRC-32 (IEEE 802.3, reflected) of `data`. Snapshot payloads carry their
@@ -58,13 +59,18 @@ Status UnwrapPayload(std::span<const uint8_t> blob, BlobKind expected_kind,
                      std::span<const uint8_t>* payload,
                      uint32_t* version = nullptr);
 
-/// Extracts section `index` from a kStreamEngine blob without decoding any
-/// detector: the result is that stream's complete kStreamDetector envelope,
-/// restorable on its own (the unit the egid-router migrates between
-/// shards). `count` (optional) receives the number of sections in the blob.
-/// Out-of-range `index` and every malformed input are Status errors.
-Status ExtractEngineSection(std::span<const uint8_t> engine_blob, size_t index,
-                            std::vector<uint8_t>* section,
-                            size_t* count = nullptr);
+/// Frames per-stream detector snapshots into one kStreamHub blob. The
+/// payload layout is `count | (len | detector blob)*` (varints); section i
+/// is stream i's complete kStreamDetector envelope, restorable on its own
+/// (the unit the egid-router migrates between shards).
+std::vector<uint8_t> JoinEngineSections(
+    std::span<const std::vector<uint8_t>> sections);
+
+/// Splits a JoinEngineSections() blob back into its sections without
+/// decoding any detector; the spans point into `hub_blob`. Every malformed
+/// input — bad envelope, truncated section, bytes after the last section —
+/// is a Status error.
+Result<std::vector<std::span<const uint8_t>>> SplitEngineSections(
+    std::span<const uint8_t> hub_blob);
 
 }  // namespace egi::serialize

@@ -90,4 +90,11 @@ std::string RenderHttpError(int status, std::string_view message);
 /// Status code → HTTP status mapping shared by every control-plane handler.
 int StatusToHttp(const Status& status);
 
+/// Splits a "/v1/streams/<id>[/<suffix>]" path (the per-stream routes of
+/// egid and the egid-router): `id` is the decimal stream id — 1 to 18
+/// digits, so it cannot overflow — and `suffix` whatever follows the digits
+/// ("" or e.g. "/checkpoint"). False for every other path.
+bool ParseStreamPath(std::string_view path, size_t* id,
+                     std::string_view* suffix);
+
 }  // namespace egi::service

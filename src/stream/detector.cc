@@ -64,10 +64,10 @@ StreamDetector::StreamDetector(StreamDetectorOptions options)
   EGI_CHECK(st.ok()) << "invalid streaming options: " << st.ToString();
 }
 
-ScoredPoint StreamDetector::Append(double value) {
+StreamPoint StreamDetector::Append(double value) {
   // Per-point telemetry is counters only — sharded relaxed adds, never a
   // clock read (the <2% enabled-overhead budget on ingest; latency is
-  // measured at batch granularity by StreamEngine::IngestOne).
+  // measured at batch granularity by the StreamHub ingest loop).
   static auto* points = Telemetry().GetCounter("stream.points");
   static auto* rejected = Telemetry().GetCounter("stream.points_rejected");
   static auto* evicted = Telemetry().GetCounter("stream.points_evicted");
@@ -75,7 +75,7 @@ ScoredPoint StreamDetector::Append(double value) {
   static auto* refit_scored = Telemetry().GetCounter("stream.scores_refit");
   points->Add(1);
 
-  ScoredPoint pt;
+  StreamPoint pt;
   pt.index = appended_;
   pt.value = value;
   ++appended_;
@@ -134,9 +134,9 @@ ScoredPoint StreamDetector::Append(double value) {
   return pt;
 }
 
-std::vector<ScoredPoint> StreamDetector::Ingest(
+std::vector<StreamPoint> StreamDetector::Ingest(
     std::span<const double> values) {
-  std::vector<ScoredPoint> out;
+  std::vector<StreamPoint> out;
   out.reserve(values.size());
   for (const double v : values) out.push_back(Append(v));
   return out;

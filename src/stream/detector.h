@@ -7,32 +7,12 @@
 #include "core/ensemble.h"
 #include "egi/result.h"
 #include "egi/status.h"
+#include "egi/types.h"
 #include "sax/token_table.h"
 #include "serialize/bytes.h"
 #include "stream/stream_window.h"
 
 namespace egi::stream {
-
-/// One scored stream point, as returned by StreamDetector::Append and
-/// delivered to StreamEngine callbacks.
-struct ScoredPoint {
-  uint64_t index = 0;   ///< 0-based position in the stream since creation
-  double value = 0.0;   ///< the ingested value
-  double score = 0.0;   ///< ensemble rule density in [0, 1]; LOW = anomalous
-  bool scored = false;  ///< false until the first refit has fitted a model,
-                        ///< and for rejected (non-finite) values
-  bool provisional = false;  ///< true when produced by the incremental path
-                             ///< (superseded by the next refit)
-  bool refit = false;        ///< this append completed a full batch refit
-};
-
-/// When the detector replays the batch algorithm (DESIGN.md "Adaptive
-/// ensembles & refit policy").
-enum class RefitPolicy : uint8_t {
-  kFixed = 0,     ///< every refit_interval appends (the classic cadence)
-  kAdaptive = 1,  ///< drift-gated: stretch the cadence while the provisional
-                  ///< score distribution stays inside a tolerance band
-};
 
 /// Configuration of the online detector. `ensemble.window_length` is the
 /// sliding-window length n; the other EnsembleParams fields are the
@@ -90,8 +70,8 @@ struct StreamDetectorOptions {
 ///   guarantee, enforced by tests/stream_detector_test.cc), and the
 ///   per-member word-frequency models are rebuilt.
 ///
-/// Detectors are single-stream and not thread-safe; shard many streams with
-/// `StreamEngine`.
+/// Detectors are single-stream and not thread-safe; `egi::StreamHub` shards
+/// many of them.
 class StreamDetector {
  public:
   explicit StreamDetector(StreamDetectorOptions options);
@@ -105,11 +85,11 @@ class StreamDetector {
   /// rejected: not buffered, returned with scored == false. O(1) amortized
   /// ring/stats work plus the incremental encode; a refit every
   /// refit_interval points.
-  ScoredPoint Append(double value);
+  StreamPoint Append(double value);
 
-  /// Batch ingest: appends every value in order, returning one ScoredPoint
+  /// Batch ingest: appends every value in order, returning one StreamPoint
   /// per value. No backpressure — the ring evicts the oldest history.
-  std::vector<ScoredPoint> Ingest(std::span<const double> values);
+  std::vector<StreamPoint> Ingest(std::span<const double> values);
 
   /// Runs a batch refit now (also called internally every refit_interval
   /// appends). Fails (and leaves the previous model in place) when fewer
@@ -155,8 +135,8 @@ class StreamDetector {
   /// "Snapshot format"). A detector restored from the blob continues
   /// **bitwise-identically** to the uninterrupted original: same scores,
   /// same refit boundaries, same member stats (the continuation-equivalence
-  /// guarantee, enforced by tests/stream_snapshot_test.cc). Callbacks are a
-  /// StreamEngine concern and are not captured.
+  /// guarantee, enforced by tests/stream_snapshot_test.cc). Callbacks belong
+  /// to the StreamHub that delivers points and are not captured.
   std::vector<uint8_t> Serialize() const;
 
   /// Restores a detector from a Serialize() blob. Every malformed input —

@@ -18,8 +18,8 @@
 #include "core/gi.h"
 #include "datasets/planted.h"
 #include "egi/egi.h"
+#include "serialize/format.h"
 #include "stream/detector.h"
-#include "stream/engine.h"
 #include "util/env.h"
 #include "util/rng.h"
 
@@ -141,7 +141,7 @@ StreamOptions FacadeStreamOptions() {
 }
 
 void ExpectSamePoint(const StreamPoint& facade,
-                     const stream::ScoredPoint& direct) {
+                     const StreamPoint& direct) {
   ASSERT_EQ(facade.index, direct.index);
   ASSERT_TRUE(SameBits(facade.value, direct.value));
   ASSERT_TRUE(SameBits(facade.score, direct.score)) << "index " << facade.index;
@@ -201,7 +201,7 @@ TEST_P(FacadeEquivalenceTest, CheckpointRoundTripMatchesDirect) {
   EXPECT_EQ(restored->Checkpoint(), direct_restored->Serialize());
 }
 
-TEST_P(FacadeEquivalenceTest, HubMatchesEngine) {
+TEST_P(FacadeEquivalenceTest, HubMatchesDirect) {
   const int threads = GetParam();
   const auto& series = TestSeries();
   const auto feed = std::span<const double>(series).first(series.size() / 2);
@@ -211,32 +211,36 @@ TEST_P(FacadeEquivalenceTest, HubMatchesEngine) {
   auto hub = session->OpenHub(FacadeStreamOptions());
   ASSERT_TRUE(hub.ok());
 
-  stream::StreamEngineOptions engine_options;
-  engine_options.detector = DirectStreamOptions(threads);
-  engine_options.parallelism = exec::Parallelism::Fixed(threads);
-  stream::StreamEngine engine(engine_options);
-
-  for (int s = 0; s < 3; ++s) {
-    hub->AddStream();
-    engine.AddStream();
-  }
+  // The hub shards its streams across `threads` workers; the direct
+  // detectors are fed one after another on this thread.
+  std::vector<stream::StreamDetector> direct;
   std::vector<HubBatch> hub_batches;
-  std::vector<stream::StreamBatch> engine_batches;
   for (size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(hub->AddStream(), s);
+    direct.emplace_back(DirectStreamOptions(threads));
     hub_batches.push_back(HubBatch{s, feed});
-    engine_batches.push_back(stream::StreamBatch{s, feed});
   }
   hub->Ingest(hub_batches);
-  engine.Ingest(engine_batches);
+  for (auto& d : direct) d.Ingest(feed);
 
-  EXPECT_EQ(hub->num_streams(), engine.num_streams());
-  EXPECT_EQ(hub->Checkpoint(), engine.SaveAll());
+  // Every section of the hub checkpoint is the direct detector's snapshot.
+  EXPECT_EQ(hub->num_streams(), direct.size());
+  const std::vector<uint8_t> checkpoint = hub->Checkpoint();
+  auto sections = serialize::SplitEngineSections(checkpoint);
+  ASSERT_TRUE(sections.ok()) << sections.status();
+  ASSERT_EQ(sections->size(), direct.size());
+  for (size_t s = 0; s < direct.size(); ++s) {
+    const std::span<const uint8_t> section = (*sections)[s];
+    EXPECT_EQ(std::vector<uint8_t>(section.begin(), section.end()),
+              direct[s].Serialize())
+        << "stream " << s;
+  }
 
-  // Per-stream continuation through the hub matches the engine.
+  // Per-stream continuation through the hub matches the direct detectors.
   const auto rest = std::span<const double>(series).subspan(series.size() / 2);
-  for (size_t s = 0; s < 3; ++s) {
+  for (size_t s = 0; s < direct.size(); ++s) {
     const auto facade_points = hub->Ingest(s, rest);
-    const auto direct_points = engine.Ingest(s, rest);
+    const auto direct_points = direct[s].Ingest(rest);
     ASSERT_EQ(facade_points.size(), direct_points.size());
     for (size_t i = 0; i < facade_points.size(); ++i) {
       ExpectSamePoint(facade_points[i], direct_points[i]);
@@ -268,6 +272,35 @@ TEST(FacadeTest, HubRestoreRoundTrips) {
   corrupted[corrupted.size() / 2] ^= 0x01;
   EXPECT_FALSE(standby->Restore(corrupted).ok());
   EXPECT_EQ(standby->num_streams(), 2u);
+}
+
+// A hub checkpoint's payload must be consumed exactly: a validly re-wrapped
+// envelope with one byte after the last section is a Status error from the
+// section splitter and from Restore alike, and leaves the hub as it was.
+TEST(FacadeTest, HubCheckpointWithTrailingPayloadByteIsRejected) {
+  auto session = Session::Open(EnsembleSpec(1));
+  ASSERT_TRUE(session.ok());
+  auto hub = session->OpenHub(FacadeStreamOptions());
+  ASSERT_TRUE(hub.ok());
+  hub->AddStream();
+  hub->AddStream();
+  hub->Ingest(1, std::span<const double>(TestSeries()).first(300));
+  const auto blob = hub->Checkpoint();
+  ASSERT_TRUE(serialize::SplitEngineSections(blob).ok());
+
+  std::span<const uint8_t> payload;
+  ASSERT_TRUE(serialize::UnwrapPayload(blob, serialize::BlobKind::kStreamHub,
+                                       &payload)
+                  .ok());
+  std::vector<uint8_t> padded(payload.begin(), payload.end());
+  padded.push_back(0);
+  const auto rewrapped =
+      serialize::WrapPayload(serialize::BlobKind::kStreamHub, padded);
+
+  EXPECT_FALSE(serialize::SplitEngineSections(rewrapped).ok());
+  EXPECT_FALSE(hub->Restore(rewrapped).ok());
+  EXPECT_EQ(hub->num_streams(), 2u);
+  EXPECT_EQ(hub->Checkpoint(), blob);
 }
 
 // ------------------------------------------------------------- capabilities

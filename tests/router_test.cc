@@ -297,6 +297,12 @@ TEST(RouterTest, CreatesStreamsAcrossShardsAndRewritesIds) {
   // Unknown ids and unknown routes are typed errors.
   EXPECT_EQ(rig.Http("GET", "/v1/streams/99").status, 404);
   EXPECT_EQ(rig.Http("GET", "/v1/bogus").status, 404);
+  // Per-stream sub-resources are shard-local: the router has no route.
+  const auto sub = rig.Http("GET", "/v1/streams/7/checkpoint");
+  EXPECT_EQ(sub.status, 404);
+  EXPECT_NE(sub.body.find("no route for /v1/streams/7/checkpoint"),
+            std::string::npos)
+      << sub.body;
   const auto reject = rig.Ingest(99, points);
   EXPECT_EQ(reject.type, service::FrameType::kReject);
   EXPECT_EQ(reject.reason, service::RejectReason::kUnknownStream);

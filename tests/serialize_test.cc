@@ -471,14 +471,14 @@ TEST(EnvelopeTest, WrapUnwrapRoundTrip) {
 }
 
 TEST(EnvelopeTest, EmptyPayloadRoundTrips) {
-  const auto blob = WrapPayload(BlobKind::kStreamEngine, {});
+  const auto blob = WrapPayload(BlobKind::kStreamHub, {});
   std::span<const uint8_t> body;
-  ASSERT_TRUE(UnwrapPayload(blob, BlobKind::kStreamEngine, &body).ok());
+  ASSERT_TRUE(UnwrapPayload(blob, BlobKind::kStreamHub, &body).ok());
   EXPECT_TRUE(body.empty());
 }
 
 TEST(EnvelopeTest, RejectsWrongKind) {
-  const auto blob = WrapPayload(BlobKind::kStreamEngine, {});
+  const auto blob = WrapPayload(BlobKind::kStreamHub, {});
   std::span<const uint8_t> body;
   EXPECT_FALSE(UnwrapPayload(blob, BlobKind::kStreamDetector, &body).ok());
 }
@@ -597,10 +597,10 @@ TEST_F(FileIoTest, KillDuringCheckpointKeepsPreviousCheckpoint) {
   // failed at restore time). Simulate the kill in a real child process:
   // the child writes half the new checkpoint to the temp file and dies
   // before fsync/rename, the way SIGKILL would land mid-checkpoint.
-  const auto v1 = WrapPayload(BlobKind::kStreamEngine, Blob(0x11, 1 << 14));
+  const auto v1 = WrapPayload(BlobKind::kStreamHub, Blob(0x11, 1 << 14));
   ASSERT_TRUE(WriteFileAtomic(path_, v1).ok());
 
-  const auto v2 = WrapPayload(BlobKind::kStreamEngine, Blob(0x22, 1 << 14));
+  const auto v2 = WrapPayload(BlobKind::kStreamHub, Blob(0x22, 1 << 14));
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -623,7 +623,7 @@ TEST_F(FileIoTest, KillDuringCheckpointKeepsPreviousCheckpoint) {
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, v1);
   std::span<const uint8_t> payload;
-  EXPECT_TRUE(UnwrapPayload(*back, BlobKind::kStreamEngine, &payload).ok());
+  EXPECT_TRUE(UnwrapPayload(*back, BlobKind::kStreamHub, &payload).ok());
 
   // The next successful checkpoint replaces both the file and the residue.
   ASSERT_TRUE(WriteFileAtomic(path_, v2).ok());

@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -81,6 +82,33 @@ TEST(HttpTest, RejectsMalformedRequests) {
   const std::string flood(kMaxHttpHeaderBytes + 2, 'a');
   EXPECT_EQ(ParseHttpRequest(flood, &req, &consumed),
             HttpParseResult::kMalformed);
+}
+
+// The per-stream route parser egid and the egid-router share.
+TEST(HttpTest, ParseStreamPathTable) {
+  struct Case {
+    std::string_view path;
+    bool ok;
+    size_t id;
+    std::string_view suffix;
+  };
+  const Case cases[] = {
+      {"/v1/streams/0", true, 0, ""},
+      {"/v1/streams/7/checkpoint", true, 7, "/checkpoint"},
+      {"/v1/streams/123456789012345678", true, 123456789012345678u, ""},
+      {"/v1/streams/", false, 0, ""},
+      {"/v1/streams/1a", false, 0, ""},
+      {"/v1/streams/1234567890123456789", false, 0, ""},  // 19 digits
+      {"/v1/streamsX/1", false, 0, ""},
+  };
+  for (const Case& c : cases) {
+    size_t id = 99;
+    std::string_view suffix = "unset";
+    ASSERT_EQ(ParseStreamPath(c.path, &id, &suffix), c.ok) << c.path;
+    if (!c.ok) continue;
+    EXPECT_EQ(id, c.id) << c.path;
+    EXPECT_EQ(suffix, c.suffix) << c.path;
+  }
 }
 
 TEST(HttpTest, RendersContentLengthFramedResponse) {

@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "datasets/random_walk.h"
+#include "egi/session.h"
 #include "serialize/bytes.h"
 #include "serialize/format.h"
 #include "stream/detector.h"
-#include "stream/engine.h"
 #include "util/env.h"
 #include "util/rng.h"
 
@@ -50,7 +50,7 @@ std::vector<double> TestSeries(size_t length, uint64_t seed = 2020) {
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 // Bitwise comparison of two scored points (score NaN bits included).
-void ExpectPointsIdentical(const ScoredPoint& a, const ScoredPoint& b,
+void ExpectPointsIdentical(const StreamPoint& a, const StreamPoint& b,
                            size_t at) {
   ASSERT_EQ(a.index, b.index) << "point " << at;
   ASSERT_EQ(Bits(a.value), Bits(b.value)) << "point " << at;
@@ -114,8 +114,8 @@ void RunContinuationCase(size_t prefix_len, size_t total_len,
   ExpectDetectorsIdentical(original, *restored);
 
   for (size_t i = prefix_len; i < series.size(); ++i) {
-    const ScoredPoint pa = original.Append(series[i]);
-    const ScoredPoint pb = restored->Append(series[i]);
+    const StreamPoint pa = original.Append(series[i]);
+    const StreamPoint pb = restored->Append(series[i]);
     ExpectPointsIdentical(pa, pb, i);
   }
   ExpectDetectorsIdentical(original, *restored);
@@ -169,8 +169,8 @@ TEST(StreamSnapshotTest, ContinuationWithRejectedValuesInHistory) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ExpectDetectorsIdentical(original, *restored);
   for (size_t i = 150; i < series.size(); ++i) {
-    const ScoredPoint pa = original.Append(series[i]);
-    const ScoredPoint pb = restored->Append(series[i]);
+    const StreamPoint pa = original.Append(series[i]);
+    const StreamPoint pb = restored->Append(series[i]);
     ExpectPointsIdentical(pa, pb, i);
   }
 }
@@ -191,7 +191,32 @@ TEST(StreamSnapshotTest, SerializeIsDeterministicAndRestartable) {
   EXPECT_EQ(restored->Serialize(), blob1);
 }
 
-// ------------------------------------------------------------ StreamEngine
+// ------------------------------------------------------------- StreamHub
+
+// The hub counterpart of SmallOptions(): same ensemble and stream shape,
+// opened through the public Session at the given thread count.
+StreamHub SmallHub(int threads) {
+  auto session = Session::Open("ensemble:wmax=6,amax=6,n=12,seed=42,threads=" +
+                               std::to_string(threads));
+  EXPECT_TRUE(session.ok()) << session.status();
+  StreamOptions opt;
+  opt.window_length = 40;
+  opt.buffer_capacity = 256;
+  opt.refit_interval = 64;
+  auto hub = session->OpenHub(opt);
+  EXPECT_TRUE(hub.ok()) << hub.status();
+  return std::move(hub).value();
+}
+
+// Stream `s` of `hub`, decoded from its standalone checkpoint so the test
+// can inspect detector internals.
+StreamDetector HubDetector(const StreamHub& hub, size_t s) {
+  auto blob = hub.CheckpointStream(s);
+  EXPECT_TRUE(blob.ok()) << blob.status();
+  auto detector = StreamDetector::Deserialize(*blob);
+  EXPECT_TRUE(detector.ok()) << detector.status();
+  return std::move(detector).value();
+}
 
 std::vector<std::vector<double>> EngineSeries(size_t streams, size_t length) {
   std::vector<std::vector<double>> data;
@@ -202,48 +227,44 @@ std::vector<std::vector<double>> EngineSeries(size_t streams, size_t length) {
   return data;
 }
 
-void IngestChunk(StreamEngine& engine,
-                 const std::vector<std::vector<double>>& data, size_t begin,
-                 size_t end) {
-  std::vector<StreamBatch> batches;
+void IngestChunk(StreamHub& hub, const std::vector<std::vector<double>>& data,
+                 size_t begin, size_t end) {
+  std::vector<HubBatch> batches;
   for (size_t s = 0; s < data.size(); ++s) {
-    batches.push_back(
-        StreamBatch{s, std::span<const double>(data[s]).subspan(
-                           begin, end - begin)});
+    batches.push_back(HubBatch{
+        s, std::span<const double>(data[s]).subspan(begin, end - begin)});
   }
-  engine.Ingest(batches);
+  hub.Ingest(batches);
 }
 
 void RunEngineCheckpointCase(int threads) {
   const size_t kStreams = 3;
   const size_t kPrefix = 160;
   const size_t kTotal = 480;
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  opt.parallelism = exec::Parallelism::Fixed(threads);
   const auto data = EngineSeries(kStreams, kTotal);
 
-  StreamEngine original(opt);
+  StreamHub original = SmallHub(threads);
   for (size_t s = 0; s < kStreams; ++s) original.AddStream();
   IngestChunk(original, data, 0, kPrefix);
 
-  const std::vector<uint8_t> checkpoint = original.SaveAll();
+  const std::vector<uint8_t> checkpoint = original.Checkpoint();
 
-  StreamEngine restored(opt);
-  ASSERT_TRUE(restored.LoadAll(checkpoint).ok());
+  StreamHub restored = SmallHub(threads);
+  ASSERT_TRUE(restored.Restore(checkpoint).ok());
   ASSERT_EQ(restored.num_streams(), kStreams);
   for (size_t s = 0; s < kStreams; ++s) {
-    ExpectDetectorsIdentical(original.detector(s), restored.detector(s));
+    ExpectDetectorsIdentical(HubDetector(original, s),
+                             HubDetector(restored, s));
   }
 
-  // Continue both engines over the same tail (sharded ingest) and compare
+  // Continue both hubs over the same tail (sharded ingest) and compare
   // every per-point result delivered through callbacks.
-  std::vector<std::vector<ScoredPoint>> out_a(kStreams), out_b(kStreams);
+  std::vector<std::vector<StreamPoint>> out_a(kStreams), out_b(kStreams);
   for (size_t s = 0; s < kStreams; ++s) {
-    original.SetCallback(s, [&out_a](StreamId id, const ScoredPoint& pt) {
+    original.SetCallback(s, [&out_a](size_t id, const StreamPoint& pt) {
       out_a[id].push_back(pt);
     });
-    restored.SetCallback(s, [&out_b](StreamId id, const ScoredPoint& pt) {
+    restored.SetCallback(s, [&out_b](size_t id, const StreamPoint& pt) {
       out_b[id].push_back(pt);
     });
   }
@@ -254,7 +275,8 @@ void RunEngineCheckpointCase(int threads) {
     for (size_t i = 0; i < out_a[s].size(); ++i) {
       ExpectPointsIdentical(out_a[s][i], out_b[s][i], i);
     }
-    ExpectDetectorsIdentical(original.detector(s), restored.detector(s));
+    ExpectDetectorsIdentical(HubDetector(original, s),
+                             HubDetector(restored, s));
   }
 }
 
@@ -267,64 +289,73 @@ TEST(StreamEngineSnapshotTest, CheckpointRestoreContinuationFourThreads) {
 }
 
 TEST(StreamEngineSnapshotTest, CheckpointIsThreadCountInvariant) {
-  // The checkpoint bytes themselves must not depend on the pool width.
+  // The pool width must not change what a checkpoint captures. The spec's
+  // `threads` value is itself part of every stream's serialized options, so
+  // across thread counts the sections must decode to identical detector
+  // state; at one thread count, repeated runs must agree byte for byte.
+  // (tests/api_facade_test.cc HubMatchesDirect pins the sharded sections
+  // to the bytes of serially fed detectors.)
   const size_t kStreams = 3;
   const auto data = EngineSeries(kStreams, 200);
-  std::vector<uint8_t> blobs[2];
-  const int thread_cases[2] = {1, 4};
-  for (int c = 0; c < 2; ++c) {
-    StreamEngineOptions opt;
-    opt.detector = SmallOptions();
-    opt.parallelism = exec::Parallelism::Fixed(thread_cases[c]);
-    StreamEngine engine(opt);
-    for (size_t s = 0; s < kStreams; ++s) engine.AddStream();
-    IngestChunk(engine, data, 0, data[0].size());
-    blobs[c] = engine.SaveAll();
+  const auto checkpoint = [&](int threads) {
+    StreamHub hub = SmallHub(threads);
+    for (size_t s = 0; s < kStreams; ++s) hub.AddStream();
+    IngestChunk(hub, data, 0, data[0].size());
+    return hub.Checkpoint();
+  };
+  const std::vector<uint8_t> one = checkpoint(1);
+  const std::vector<uint8_t> four = checkpoint(4);
+  EXPECT_EQ(four, checkpoint(4));
+  EXPECT_EQ(one.size(), four.size());
+
+  auto one_sections = serialize::SplitEngineSections(one);
+  auto four_sections = serialize::SplitEngineSections(four);
+  ASSERT_TRUE(one_sections.ok() && four_sections.ok());
+  ASSERT_EQ(one_sections->size(), kStreams);
+  ASSERT_EQ(four_sections->size(), kStreams);
+  for (size_t s = 0; s < kStreams; ++s) {
+    auto a = StreamDetector::Deserialize((*one_sections)[s]);
+    auto b = StreamDetector::Deserialize((*four_sections)[s]);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ExpectDetectorsIdentical(*a, *b);
   }
-  EXPECT_EQ(blobs[0], blobs[1]);
 }
 
 TEST(StreamEngineSnapshotTest, EmptyEngineRoundTrips) {
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  StreamEngine engine(opt);
-  const auto blob = engine.SaveAll();
-  StreamEngine other(opt);
-  other.AddStream();  // replaced wholesale by LoadAll
-  ASSERT_TRUE(other.LoadAll(blob).ok());
+  StreamHub hub = SmallHub(1);
+  const auto blob = hub.Checkpoint();
+  StreamHub other = SmallHub(1);
+  other.AddStream();  // replaced wholesale by Restore
+  ASSERT_TRUE(other.Restore(blob).ok());
   EXPECT_EQ(other.num_streams(), 0u);
 }
 
 TEST(StreamEngineSnapshotTest, LoadAllIsAllOrNothing) {
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  StreamEngine engine(opt);
-  engine.AddStream();
-  engine.AddStream();
+  StreamHub hub = SmallHub(1);
+  hub.AddStream();
+  hub.AddStream();
   const auto data = EngineSeries(2, 100);
-  IngestChunk(engine, data, 0, 100);
-  auto checkpoint = engine.SaveAll();
+  IngestChunk(hub, data, 0, 100);
+  auto checkpoint = hub.Checkpoint();
 
-  // Corrupt one byte deep inside the payload (a stream section): LoadAll
-  // must fail and leave the target engine untouched.
+  // Corrupt one byte deep inside the payload (a stream section): Restore
+  // must fail and leave the target hub untouched.
   checkpoint[checkpoint.size() / 2] ^= 0x40;
-  StreamEngine target(opt);
+  StreamHub target = SmallHub(1);
   target.AddStream();
-  const auto before = target.detector(0).total_appended();
-  EXPECT_FALSE(target.LoadAll(checkpoint).ok());
+  const auto before = target.Stats(0).total_appended;
+  EXPECT_FALSE(target.Restore(checkpoint).ok());
   EXPECT_EQ(target.num_streams(), 1u);
-  EXPECT_EQ(target.detector(0).total_appended(), before);
+  EXPECT_EQ(target.Stats(0).total_appended, before);
 }
 
 TEST(StreamEngineSnapshotTest, RejectsDetectorBlobAsEngineCheckpoint) {
   StreamDetector detector(SmallOptions());
   const auto blob = detector.Serialize();
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  StreamEngine engine(opt);
-  EXPECT_FALSE(engine.LoadAll(blob).ok());
-  // And the converse: an engine checkpoint is not a detector snapshot.
-  const auto checkpoint = engine.SaveAll();
+  StreamHub hub = SmallHub(1);
+  EXPECT_FALSE(hub.Restore(blob).ok());
+  // And the converse: a hub checkpoint is not a detector snapshot.
+  const auto checkpoint = hub.Checkpoint();
   EXPECT_FALSE(StreamDetector::Deserialize(checkpoint).ok());
 }
 
@@ -434,10 +465,7 @@ TEST(StreamSnapshotCorruptionTest, EmptyAndGarbageBlobsAreRejected) {
   EXPECT_FALSE(StreamDetector::Deserialize({}).ok());
   const std::vector<uint8_t> garbage(64, 0xA5);
   EXPECT_FALSE(StreamDetector::Deserialize(garbage).ok());
-  StreamEngineOptions opt;
-  opt.detector = SmallOptions();
-  StreamEngine engine(opt);
-  EXPECT_FALSE(engine.LoadAll(garbage).ok());
+  EXPECT_FALSE(SmallHub(1).Restore(garbage).ok());
 }
 
 // ------------------------------------------------------------ golden blob
