@@ -19,6 +19,7 @@ namespace {
 
 using service::FrameType;
 using service::HttpRequest;
+using service::IngestCounters;
 using service::IngestRequest;
 using service::IngestResponse;
 using service::RejectReason;
@@ -30,61 +31,6 @@ telemetry::Registry& Telemetry() { return telemetry::Registry::Global(); }
 Clock::duration Seconds(double s) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(s));
-}
-
-/// `{"shards":["host:hp:ip",...]}` → the string elements. Endpoint strings
-/// never need JSON escapes, so a backslash (or anything non-string in the
-/// array) is a parse error.
-bool ParseShardsBody(std::string_view body, std::vector<std::string>* out) {
-  const size_t key = body.find("\"shards\"");
-  if (key == std::string_view::npos) return false;
-  size_t i = key + 8;
-  auto skip_ws = [&] {
-    while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                               body[i] == '\r' || body[i] == '\n')) {
-      ++i;
-    }
-  };
-  skip_ws();
-  if (i >= body.size() || body[i] != ':') return false;
-  ++i;
-  skip_ws();
-  if (i >= body.size() || body[i] != '[') return false;
-  ++i;
-  skip_ws();
-  if (i < body.size() && body[i] == ']') return true;
-  while (true) {
-    skip_ws();
-    if (i >= body.size() || body[i] != '"') return false;
-    const size_t start = ++i;
-    while (i < body.size() && body[i] != '"') {
-      if (body[i] == '\\') return false;
-      ++i;
-    }
-    if (i >= body.size()) return false;
-    out->emplace_back(body.substr(start, i - start));
-    ++i;
-    skip_ws();
-    if (i >= body.size()) return false;
-    if (body[i] == ']') return true;
-    if (body[i] != ',') return false;
-    ++i;
-  }
-}
-
-/// Rewrites the leading `{"stream":<local>` of a shard response body to the
-/// router's global id and injects the shard index, so clients only ever see
-/// router ids: `{"stream":<gid>,"shard":<idx>,...`.
-std::string RewriteStreamBody(std::string_view body, size_t gid,
-                              size_t shard) {
-  constexpr std::string_view kPrefix = "{\"stream\":";
-  if (body.substr(0, kPrefix.size()) != kPrefix) return std::string(body);
-  size_t i = kPrefix.size();
-  while (i < body.size() && body[i] >= '0' && body[i] <= '9') ++i;
-  std::string out = "{\"stream\":" + std::to_string(gid) +
-                    ",\"shard\":" + std::to_string(shard);
-  out += body.substr(i);
-  return out;
 }
 
 }  // namespace
@@ -164,6 +110,10 @@ struct RouterCore::Impl {
   Result<std::pair<size_t, std::string>> CreateStream(std::string tenant,
                                                       std::string name);
   bool MigrateStream(StreamRoute* route, size_t target_index);
+
+  // GET `path` on every active shard, in map order: one JSON section per
+  // shard, the reply body under `field` when it is a 200.
+  std::string Gather(std::string_view path, std::string_view field);
 
   std::vector<size_t> ActiveSnapshot() const {
     std::shared_lock<std::shared_mutex> lock(table_mu);
@@ -262,6 +212,27 @@ Result<HttpReply> RouterCore::Impl::ShardHttp(size_t backend_index,
   Release(b, std::move(channel));
   MarkUp(b);
   return reply;
+}
+
+std::string RouterCore::Impl::Gather(std::string_view path,
+                                    std::string_view field) {
+  std::string sections;
+  for (const size_t index : ActiveSnapshot()) {
+    auto reply = ShardHttp(index, "GET", path, "");
+    if (!sections.empty()) sections += ',';
+    sections += "{\"shard\":" + std::to_string(index) + ",\"endpoint\":" +
+                JsonQuote(EndpointToString(BackendAt(index)->endpoint));
+    if (!reply.ok()) {
+      sections += ",\"status\":0,\"error\":" +
+                  JsonQuote(reply.status().message());
+    } else {
+      sections += ",\"status\":" + std::to_string(reply->status) + ",\"" +
+                  std::string(field) + "\":" +
+                  (reply->status == 200 ? reply->body : "null");
+    }
+    sections += '}';
+  }
+  return sections;
 }
 
 void RouterCore::Impl::ProbeOne(Backend& b) {
@@ -384,9 +355,9 @@ Result<std::pair<size_t, std::string>> RouterCore::Impl::CreateStream(
     route = fresh.get();
     routes.push_back(std::move(fresh));
   }
-  const std::string body = "{\"tenant\":" + JsonQuote(route->tenant) +
-                           ",\"name\":" + JsonQuote(route->name) + "}";
-  auto reply = ShardHttp(backend_index, "POST", "/v1/streams", body);
+  auto reply = ShardHttp(backend_index, "POST", "/v1/streams",
+                         service::RenderCreateStreamBody(route->tenant,
+                                                         route->name));
   uint64_t local_id = 0;
   const bool ok = reply.ok() && reply->status == 201 &&
                   JsonFindUInt(reply->body, "stream", &local_id);
@@ -412,8 +383,8 @@ Result<std::pair<size_t, std::string>> RouterCore::Impl::CreateStream(
   }
   created->Add(1);
   return std::make_pair(route->gid,
-                        RewriteStreamBody(reply->body, route->gid,
-                                          backend_index));
+                        service::RebaseStreamBody(reply->body, route->gid,
+                                                  backend_index));
 }
 
 bool RouterCore::Impl::MigrateStream(StreamRoute* route,
@@ -505,11 +476,9 @@ bool RouterCore::Impl::MigrateStream(StreamRoute* route,
   }
 
   // 3. Create the target stream and restore the snapshot into it.
-  const std::string create_body =
-      "{\"tenant\":" + JsonQuote(route->tenant) +
-      ",\"name\":" + JsonQuote(route->name) + "}";
-  auto created =
-      http(*target_channel, "POST", "/v1/streams", create_body);
+  auto created = http(*target_channel, "POST", "/v1/streams",
+                      service::RenderCreateStreamBody(route->tenant,
+                                                      route->name));
   uint64_t target_local = 0;
   if (!created.ok() || created->status != 201 ||
       !JsonFindUInt(created->body, "stream", &target_local)) {
@@ -641,36 +610,18 @@ Result<std::string> RouterCore::InstallShardMap(
 // -------------------------------------------------------------- data plane
 
 IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
-  static auto* frames = Telemetry().GetCounter("router.ingest_frames");
+  static const IngestCounters counters("router");
   static auto* forwarded =
       Telemetry().GetCounter("router.points_forwarded");
-  static auto* rejected = Telemetry().GetCounter("router.frames_rejected");
-  frames->Add(1);
-
   IngestResponse resp;
-  resp.stream = request.stream;
+  if (service::AdmitFrame(request,
+                          impl_->draining.load(std::memory_order_relaxed),
+                          counters, &resp)) {
+    return resp;
+  }
   const auto reject = [&](RejectReason reason) {
-    rejected->Add(1);
-    Telemetry()
-        .GetCounter(std::string("router.reject.") +
-                    std::string(service::RejectReasonName(reason)))
-        ->Add(1);
-    resp.type = FrameType::kReject;
-    resp.reason = reason;
-    return resp;
+    return counters.Reject(request.stream, reason);
   };
-
-  if (request.hello) {
-    if (request.protocol_version != service::kProtocolVersion) {
-      return reject(RejectReason::kVersionMismatch);
-    }
-    resp.type = FrameType::kHelloAck;
-    resp.protocol_version = service::kProtocolVersion;
-    return resp;
-  }
-  if (impl_->draining.load(std::memory_order_relaxed)) {
-    return reject(RejectReason::kDraining);
-  }
 
   Impl::StreamRoute* route = nullptr;
   {
@@ -739,11 +690,7 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
   if (resp.type == FrameType::kAck) {
     forwarded->Add(request.values.size());
   } else {
-    rejected->Add(1);
-    Telemetry()
-        .GetCounter(std::string("router.reject.") +
-                    std::string(service::RejectReasonName(resp.reason)))
-        ->Add(1);
+    counters.CountReject(resp.reason);
   }
   return resp;
 }
@@ -828,38 +775,18 @@ std::string RouterCore::Handle(const HttpRequest& request) {
   }
   if (request.path == "/metrics") {
     if (request.method != "GET") return RenderHttpError(405, "use GET");
-    std::string body = "{\"router\":" + Session::MetricsJson() +
-                       ",\"shards\":[";
-    bool first = true;
-    for (const size_t index : impl_->ActiveSnapshot()) {
-      auto reply = impl_->ShardHttp(index, "GET", "/metrics", "");
-      if (!first) body += ',';
-      first = false;
-      body += "{\"shard\":" + std::to_string(index) + ",\"endpoint\":" +
-              JsonQuote(EndpointToString(
-                  impl_->BackendAt(index)->endpoint));
-      if (reply.ok() && reply->status == 200) {
-        body += ",\"status\":200,\"metrics\":" + reply->body;
-      } else if (reply.ok()) {
-        body += ",\"status\":" + std::to_string(reply->status) +
-                ",\"metrics\":null";
-      } else {
-        body += ",\"status\":0,\"error\":" +
-                JsonQuote(reply.status().message());
-      }
-      body += '}';
-    }
-    body += "]}";
-    return RenderHttpResponse(200, body);
+    return RenderHttpResponse(200, "{\"router\":" + Session::MetricsJson() +
+                                       ",\"shards\":[" +
+                                       impl_->Gather("/metrics", "metrics") +
+                                       "]}");
   }
   if (request.path == "/v1/streams") {
     if (request.method == "POST") {
       std::string tenant;
       std::string name;
-      if (!JsonFindString(request.body, "tenant", &tenant)) {
+      if (!service::ParseCreateStreamBody(request.body, &tenant, &name)) {
         return RenderHttpError(400, "body must carry a \"tenant\" field");
       }
-      JsonFindString(request.body, "name", &name);  // optional
       auto created =
           impl_->CreateStream(std::move(tenant), std::move(name));
       if (!created.ok()) {
@@ -869,30 +796,11 @@ std::string RouterCore::Handle(const HttpRequest& request) {
       return RenderHttpResponse(201, created->second);
     }
     if (request.method == "GET") {
-      std::string body = "{\"map_version\":" + std::to_string(map_version()) +
-                         ",\"streams\":" + std::to_string(num_streams()) +
-                         ",\"shards\":[";
-      bool first = true;
-      for (const size_t index : impl_->ActiveSnapshot()) {
-        auto reply = impl_->ShardHttp(index, "GET", "/v1/streams", "");
-        if (!first) body += ',';
-        first = false;
-        body += "{\"shard\":" + std::to_string(index) + ",\"endpoint\":" +
-                JsonQuote(EndpointToString(
-                    impl_->BackendAt(index)->endpoint));
-        if (reply.ok() && reply->status == 200) {
-          body += ",\"status\":200,\"body\":" + reply->body;
-        } else if (reply.ok()) {
-          body += ",\"status\":" + std::to_string(reply->status) +
-                  ",\"body\":null";
-        } else {
-          body += ",\"status\":0,\"error\":" +
-                  JsonQuote(reply.status().message());
-        }
-        body += '}';
-      }
-      body += "]}";
-      return RenderHttpResponse(200, body);
+      return RenderHttpResponse(
+          200, "{\"map_version\":" + std::to_string(map_version()) +
+                   ",\"streams\":" + std::to_string(num_streams()) +
+                   ",\"shards\":[" + impl_->Gather("/v1/streams", "body") +
+                   "]}");
     }
     return RenderHttpError(405, "use GET or POST");
   }
@@ -941,7 +849,7 @@ std::string RouterCore::Handle(const HttpRequest& request) {
     return RenderHttpResponse(
         reply->status,
         reply->status == 200
-            ? RewriteStreamBody(reply->body, gid, backend_index)
+            ? service::RebaseStreamBody(reply->body, gid, backend_index)
             : reply->body);
   }
   if (request.path == "/v1/flush" || request.path == "/v1/checkpoint") {
@@ -988,7 +896,8 @@ std::string RouterCore::Handle(const HttpRequest& request) {
     }
     if (request.method == "POST") {
       std::vector<std::string> specs;
-      if (!ParseShardsBody(request.body, &specs) || specs.empty()) {
+      if (!JsonFindStringArray(request.body, "shards", &specs) ||
+          specs.empty()) {
         return RenderHttpError(
             400, "body must carry a \"shards\" array of endpoint strings");
       }

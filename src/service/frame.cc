@@ -1,6 +1,9 @@
 #include "service/frame.h"
 
 #include <bit>
+#include <string>
+
+#include "egi/telemetry.h"
 
 namespace egi::service {
 
@@ -70,6 +73,57 @@ std::string_view RejectReasonName(RejectReason reason) {
     case RejectReason::kVersionMismatch: return "version_mismatch";
   }
   return "unknown";
+}
+
+IngestCounters::IngestCounters(std::string_view prefix) {
+  auto& registry = telemetry::Registry::Global();
+  const std::string base(prefix);
+  frames_ = registry.GetCounter(base + ".ingest_frames");
+  rejected_ = registry.GetCounter(base + ".frames_rejected");
+  for (size_t i = 0; i < by_reason_.size(); ++i) {
+    by_reason_[i] = registry.GetCounter(
+        base + ".reject." +
+        std::string(RejectReasonName(static_cast<RejectReason>(i))));
+  }
+}
+
+void IngestCounters::CountFrame() const { frames_->Add(1); }
+
+void IngestCounters::CountReject(RejectReason reason) const {
+  const auto index = static_cast<size_t>(reason);
+  rejected_->Add(1);
+  by_reason_[index < by_reason_.size() ? index : 0]->Add(1);
+}
+
+IngestResponse IngestCounters::Reject(uint64_t stream,
+                                      RejectReason reason) const {
+  CountReject(reason);
+  IngestResponse resp;
+  resp.type = FrameType::kReject;
+  resp.stream = stream;
+  resp.reason = reason;
+  return resp;
+}
+
+bool AdmitFrame(const IngestRequest& request, bool draining,
+                const IngestCounters& counters, IngestResponse* resp) {
+  counters.CountFrame();
+  *resp = IngestResponse();
+  resp->stream = request.stream;
+  if (request.hello) {
+    if (request.protocol_version != kProtocolVersion) {
+      *resp = counters.Reject(request.stream, RejectReason::kVersionMismatch);
+      return true;
+    }
+    resp->type = FrameType::kHelloAck;
+    resp->protocol_version = kProtocolVersion;
+    return true;
+  }
+  if (draining) {
+    *resp = counters.Reject(request.stream, RejectReason::kDraining);
+    return true;
+  }
+  return false;
 }
 
 void EncodeIngestFrame(uint64_t stream, std::span<const double> values,

@@ -285,4 +285,31 @@ bool ParseStreamPath(std::string_view path, size_t* id,
   return true;
 }
 
+std::string OpenStreamBody(size_t stream) {
+  return "{\"stream\":" + std::to_string(stream);
+}
+
+std::string RebaseStreamBody(std::string_view body, size_t gid,
+                             size_t shard) {
+  constexpr std::string_view kPrefix = "{\"stream\":";
+  if (body.substr(0, kPrefix.size()) != kPrefix) return std::string(body);
+  size_t i = kPrefix.size();
+  while (i < body.size() && body[i] >= '0' && body[i] <= '9') ++i;
+  return OpenStreamBody(gid) + ",\"shard\":" + std::to_string(shard) +
+         std::string(body.substr(i));
+}
+
+std::string RenderCreateStreamBody(std::string_view tenant,
+                                   std::string_view name) {
+  return "{\"tenant\":" + JsonQuote(tenant) + ",\"name\":" + JsonQuote(name) +
+         "}";
+}
+
+bool ParseCreateStreamBody(std::string_view body, std::string* tenant,
+                           std::string* name) {
+  if (!JsonFindString(body, "tenant", tenant)) return false;
+  JsonFindString(body, "name", name);  // optional
+  return true;
+}
+
 }  // namespace egi::service

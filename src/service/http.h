@@ -97,4 +97,21 @@ int StatusToHttp(const Status& status);
 bool ParseStreamPath(std::string_view path, size_t* id,
                      std::string_view* suffix);
 
+/// `{"stream":<id>` — the opening of every per-stream reply body of egid.
+/// RebaseStreamBody is the one reader of that prefix.
+std::string OpenStreamBody(size_t stream);
+
+/// The egid-router's view of a shard's per-stream body: the leading
+/// `{"stream":<local>` becomes `{"stream":<gid>,"shard":<shard>`, so
+/// clients only ever see router ids. Other bodies pass through unchanged.
+std::string RebaseStreamBody(std::string_view body, size_t gid, size_t shard);
+
+/// The POST /v1/streams body, `{"tenant":...,"name":...}`: rendered by the
+/// router for its shards, read back by both daemons. Reading fails (the
+/// 400 reply) without a "tenant" string; "name" is optional.
+std::string RenderCreateStreamBody(std::string_view tenant,
+                                   std::string_view name);
+bool ParseCreateStreamBody(std::string_view body, std::string* tenant,
+                           std::string* name);
+
 }  // namespace egi::service

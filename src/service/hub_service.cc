@@ -110,7 +110,23 @@ struct HubService::Impl {
   std::mutex shutdown_mu;
 
   // --- helpers (definitions below) ---
+  // A stream id that names a live (created, not deleted) stream; callers
+  // hold the structural lock.
+  bool Live(size_t id) const {
+    return id < streams.size() && !streams[id]->deleted;
+  }
+  static Status NoStream(size_t id) {
+    return Status::NotFound("no stream " + std::to_string(id));
+  }
   bool ConsumeQuota(Tenant& tenant, size_t count);
+  // Admission counters of stream `id` rebuilt from its restored detector:
+  // the detector is the source of truth for how many points it consumed.
+  void SyncCountersFromHub(size_t id);
+  // Runs `fn(state)` under the queue and detect locks of a live stream
+  // whose every acked point is scored; FailedPrecondition otherwise.
+  template <typename Fn>
+  auto WithDrainedStream(size_t id, Fn fn) const -> decltype(fn(
+      std::declval<StreamState&>()));
   void DrainStream(size_t id);
   void WorkerLoop();
   Tenant* GetOrCreateTenant(const std::string& name);  // excl. lock held
@@ -188,48 +204,53 @@ bool HubService::Impl::ConsumeQuota(Tenant& tenant, size_t count) {
   return true;
 }
 
+void HubService::Impl::SyncCountersFromHub(size_t id) {
+  StreamState& st = *streams[id];
+  st.accepted_total = hub.Stats(id).total_appended;
+  st.scored_total.store(st.accepted_total, std::memory_order_relaxed);
+  const std::vector<double> last = hub.RecentScores(id, 1);
+  const bool scored = !last.empty() && !std::isnan(last.back());
+  st.last_score.store(scored ? last.back() : 0.0, std::memory_order_relaxed);
+  st.last_scored.store(scored, std::memory_order_relaxed);
+}
+
+template <typename Fn>
+auto HubService::Impl::WithDrainedStream(size_t id, Fn fn) const
+    -> decltype(fn(std::declval<StreamState&>())) {
+  std::shared_lock<std::shared_mutex> structural(struct_mu);
+  if (!Live(id)) return NoStream(id);
+  StreamState& st = *streams[id];
+  // Both locks: queue empty alone is not enough — a drain worker pops a
+  // chunk off the queue *before* scoring it, so a blob would miss those
+  // points. accepted == scored under both locks means every acked point is
+  // inside the detector.
+  std::scoped_lock lock(st.queue_mu, st.detect_mu);
+  if (!st.queue.empty() ||
+      st.accepted_total != st.scored_total.load(std::memory_order_relaxed)) {
+    return Status::FailedPrecondition(
+        "stream " + std::to_string(id) +
+        " still has unscored points; flush first");
+  }
+  return fn(st);
+}
+
 // --------------------------------------------------------------- data plane
 
 IngestResponse HubService::HandleIngest(const IngestRequest& request) {
-  static auto* frames = Telemetry().GetCounter("service.ingest_frames");
+  static const IngestCounters counters("service");
   static auto* accepted = Telemetry().GetCounter("service.points_accepted");
-  static auto* rejected = Telemetry().GetCounter("service.frames_rejected");
-  frames->Add(1);
-
   IngestResponse resp;
-  resp.stream = request.stream;
-  const auto reject = [&](RejectReason reason) {
-    rejected->Add(1);
-    Telemetry()
-        .GetCounter(std::string("service.reject.") +
-                    std::string(RejectReasonName(reason)))
-        ->Add(1);
-    resp.type = FrameType::kReject;
-    resp.reason = reason;
+  if (AdmitFrame(request, impl_->draining.load(std::memory_order_relaxed),
+                 counters, &resp)) {
     return resp;
-  };
-
-  if (request.hello) {
-    // Version handshake, answered before the draining check so a draining
-    // server still tells a connecting router *why* frames will bounce.
-    if (request.protocol_version != kProtocolVersion) {
-      return reject(RejectReason::kVersionMismatch);
-    }
-    resp.type = FrameType::kHelloAck;
-    resp.protocol_version = kProtocolVersion;
-    return resp;
-  }
-  if (impl_->draining.load(std::memory_order_relaxed)) {
-    return reject(RejectReason::kDraining);
   }
   std::shared_lock<std::shared_mutex> structural(impl_->struct_mu);
-  if (request.stream >= impl_->streams.size()) {
-    return reject(RejectReason::kUnknownStream);
+  if (!impl_->Live(request.stream)) {
+    return counters.Reject(request.stream, RejectReason::kUnknownStream);
   }
   Impl::StreamState& st = *impl_->streams[request.stream];
-  if (st.deleted) return reject(RejectReason::kUnknownStream);
   if (!impl_->ConsumeQuota(*st.tenant, request.values.size())) {
-    return reject(RejectReason::kRateLimited);
+    return counters.Reject(request.stream, RejectReason::kRateLimited);
   }
 
   bool need_schedule = false;
@@ -237,7 +258,7 @@ IngestResponse HubService::HandleIngest(const IngestRequest& request) {
     std::lock_guard<std::mutex> lock(st.queue_mu);
     if (impl_->options.queue_capacity - st.queue.size() <
         request.values.size()) {
-      return reject(RejectReason::kQueueFull);
+      return counters.Reject(request.stream, RejectReason::kQueueFull);
     }
     st.queue.insert(st.queue.end(), request.values.begin(),
                     request.values.end());
@@ -375,9 +396,7 @@ Result<size_t> HubService::CreateStream(std::string tenant,
 Status HubService::DeleteStream(size_t stream) {
   static auto* deleted = Telemetry().GetCounter("service.streams_deleted");
   std::unique_lock<std::shared_mutex> structural(impl_->struct_mu);
-  if (stream >= impl_->streams.size() || impl_->streams[stream]->deleted) {
-    return Status::NotFound("no stream " + std::to_string(stream));
-  }
+  if (!impl_->Live(stream)) return Impl::NoStream(stream);
   Impl::StreamState& st = *impl_->streams[stream];
   st.deleted = true;
   st.tenant->live_streams -= 1;
@@ -423,9 +442,7 @@ StreamInfo HubService::Impl::DescribeLocked(size_t id) const {
 
 Result<StreamInfo> HubService::Describe(size_t stream) const {
   std::shared_lock<std::shared_mutex> structural(impl_->struct_mu);
-  if (stream >= impl_->streams.size() || impl_->streams[stream]->deleted) {
-    return Status::NotFound("no stream " + std::to_string(stream));
-  }
+  if (!impl_->Live(stream)) return Impl::NoStream(stream);
   return impl_->DescribeLocked(stream);
 }
 
@@ -434,8 +451,7 @@ std::vector<StreamInfo> HubService::List() const {
   std::vector<StreamInfo> out;
   out.reserve(impl_->streams.size());
   for (size_t i = 0; i < impl_->streams.size(); ++i) {
-    if (impl_->streams[i]->deleted) continue;
-    out.push_back(impl_->DescribeLocked(i));
+    if (impl_->Live(i)) out.push_back(impl_->DescribeLocked(i));
   }
   return out;
 }
@@ -443,11 +459,8 @@ std::vector<StreamInfo> HubService::List() const {
 Result<std::vector<double>> HubService::RecentScores(
     size_t stream, size_t max_points) const {
   std::shared_lock<std::shared_mutex> structural(impl_->struct_mu);
-  if (stream >= impl_->streams.size() || impl_->streams[stream]->deleted) {
-    return Status::NotFound("no stream " + std::to_string(stream));
-  }
-  Impl::StreamState& st = *impl_->streams[stream];
-  std::lock_guard<std::mutex> lock(st.detect_mu);
+  if (!impl_->Live(stream)) return Impl::NoStream(stream);
+  std::lock_guard<std::mutex> lock(impl_->streams[stream]->detect_mu);
   return impl_->hub.RecentScores(stream, max_points);
 }
 
@@ -570,16 +583,8 @@ Status HubService::RestoreFromDisk() {
     st->deleted = manifest[i].deleted;
     st->tenant = impl_->GetOrCreateTenant(st->tenant_name);
     if (!st->deleted) st->tenant->live_streams += 1;
-    const HubStreamStats stats = impl_->hub.Stats(i);
-    st->accepted_total = stats.total_appended;
-    st->scored_total.store(stats.total_appended,
-                           std::memory_order_relaxed);
-    const std::vector<double> last = impl_->hub.RecentScores(i, 1);
-    if (!last.empty() && !std::isnan(last.back())) {
-      st->last_score.store(last.back(), std::memory_order_relaxed);
-      st->last_scored.store(true, std::memory_order_relaxed);
-    }
     impl_->streams.push_back(std::move(st));
+    impl_->SyncCountersFromHub(i);
   }
   restores->Add(1);
   Telemetry().journal().Emit(
@@ -591,64 +596,29 @@ Status HubService::RestoreFromDisk() {
 Result<std::vector<uint8_t>> HubService::ExportStreamCheckpoint(
     size_t stream) const {
   static auto* exports = Telemetry().GetCounter("service.stream_exports");
-  std::shared_lock<std::shared_mutex> structural(impl_->struct_mu);
-  if (stream >= impl_->streams.size() || impl_->streams[stream]->deleted) {
-    return Status::NotFound("no stream " + std::to_string(stream));
-  }
-  Impl::StreamState& st = *impl_->streams[stream];
-  // Both locks: queue empty alone is not enough — a drain worker pops a
-  // chunk off the queue *before* scoring it, so the blob would miss those
-  // points. accepted == scored under both locks means every acked point is
-  // inside the detector.
-  std::scoped_lock lock(st.queue_mu, st.detect_mu);
-  if (!st.queue.empty() ||
-      st.accepted_total != st.scored_total.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "stream " + std::to_string(stream) +
-        " still has unscored points; flush first");
-  }
-  EGI_ASSIGN_OR_RETURN(auto blob, impl_->hub.CheckpointStream(stream));
-  exports->Add(1);
-  Telemetry().journal().Emit(
-      "service.stream_export", {{"stream", std::to_string(stream)},
-                                {"bytes", std::to_string(blob.size())}});
-  return blob;
+  return impl_->WithDrainedStream(
+      stream, [&](Impl::StreamState&) -> Result<std::vector<uint8_t>> {
+        EGI_ASSIGN_OR_RETURN(auto blob, impl_->hub.CheckpointStream(stream));
+        exports->Add(1);
+        Telemetry().journal().Emit(
+            "service.stream_export", {{"stream", std::to_string(stream)},
+                                      {"bytes", std::to_string(blob.size())}});
+        return blob;
+      });
 }
 
 Status HubService::ImportStreamCheckpoint(size_t stream,
                                           std::span<const uint8_t> blob) {
   static auto* imports = Telemetry().GetCounter("service.stream_imports");
-  std::shared_lock<std::shared_mutex> structural(impl_->struct_mu);
-  if (stream >= impl_->streams.size() || impl_->streams[stream]->deleted) {
-    return Status::NotFound("no stream " + std::to_string(stream));
-  }
-  Impl::StreamState& st = *impl_->streams[stream];
-  std::scoped_lock lock(st.queue_mu, st.detect_mu);
-  if (!st.queue.empty() ||
-      st.accepted_total != st.scored_total.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "stream " + std::to_string(stream) +
-        " still has unscored points; flush first");
-  }
-  EGI_RETURN_IF_ERROR(impl_->hub.RestoreStream(stream, blob));
-  // Reconcile the admission counters from the restored detector: the blob
-  // is the source of truth for how many points this stream has consumed.
-  const HubStreamStats stats = impl_->hub.Stats(stream);
-  st.accepted_total = stats.total_appended;
-  st.scored_total.store(stats.total_appended, std::memory_order_relaxed);
-  const std::vector<double> last = impl_->hub.RecentScores(stream, 1);
-  if (!last.empty() && !std::isnan(last.back())) {
-    st.last_score.store(last.back(), std::memory_order_relaxed);
-    st.last_scored.store(true, std::memory_order_relaxed);
-  } else {
-    st.last_score.store(0.0, std::memory_order_relaxed);
-    st.last_scored.store(false, std::memory_order_relaxed);
-  }
-  imports->Add(1);
-  Telemetry().journal().Emit(
-      "service.stream_import", {{"stream", std::to_string(stream)},
-                                {"bytes", std::to_string(blob.size())}});
-  return Status::OK();
+  return impl_->WithDrainedStream(stream, [&](Impl::StreamState&) {
+    EGI_RETURN_IF_ERROR(impl_->hub.RestoreStream(stream, blob));
+    impl_->SyncCountersFromHub(stream);
+    imports->Add(1);
+    Telemetry().journal().Emit(
+        "service.stream_import", {{"stream", std::to_string(stream)},
+                                  {"bytes", std::to_string(blob.size())}});
+    return Status::OK();
+  });
 }
 
 // ---------------------------------------------------------------- shutdown
@@ -681,7 +651,7 @@ Status HubService::Shutdown() {
 namespace {
 
 std::string RenderStreamInfo(const StreamInfo& info) {
-  std::string out = "{\"stream\":" + std::to_string(info.stream);
+  std::string out = OpenStreamBody(info.stream);
   out += ",\"tenant\":" + JsonQuote(info.tenant);
   out += ",\"name\":" + JsonQuote(info.name);
   out += ",\"accepted\":" + std::to_string(info.accepted_total);
@@ -725,10 +695,9 @@ std::string HubService::Handle(const HttpRequest& request) {
     if (request.method == "POST") {
       std::string tenant;
       std::string name;
-      if (!JsonFindString(request.body, "tenant", &tenant)) {
+      if (!ParseCreateStreamBody(request.body, &tenant, &name)) {
         return RenderHttpError(400, "body must carry a \"tenant\" field");
       }
-      JsonFindString(request.body, "name", &name);  // optional
       auto created = CreateStream(std::move(tenant), std::move(name));
       if (!created.ok()) {
         const int code = draining() ? 503 : StatusToHttp(created.status());
@@ -773,8 +742,8 @@ std::string HubService::Handle(const HttpRequest& request) {
         if (!status.ok()) {
           return RenderHttpError(StatusToHttp(status), status.message());
         }
-        return RenderHttpResponse(200, "{\"stream\":" + std::to_string(id) +
-                                           ",\"imported\":true}");
+        return RenderHttpResponse(200,
+                                  OpenStreamBody(id) + ",\"imported\":true}");
       }
       return RenderHttpError(405, "use GET or PUT");
     }
@@ -810,8 +779,8 @@ std::string HubService::Handle(const HttpRequest& request) {
       if (!status.ok()) {
         return RenderHttpError(StatusToHttp(status), status.message());
       }
-      return RenderHttpResponse(200, "{\"stream\":" + std::to_string(id) +
-                                         ",\"deleted\":true}");
+      return RenderHttpResponse(200,
+                                OpenStreamBody(id) + ",\"deleted\":true}");
     }
     return RenderHttpError(405, "use GET or DELETE");
   }

@@ -149,18 +149,20 @@ std::string JsonNumber(double value) {
 
 namespace {
 
+bool IsJsonSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+}
+
+size_t SkipSpace(std::string_view body, size_t i) {
+  while (i < body.size() && IsJsonSpace(body[i])) ++i;
+  return i;
+}
+
 // Index of the first byte of the value of a top-level `"key":` pair in a
 // flat JSON object (whitespace around the colon skipped), or npos. An
 // occurrence of "key" that no colon follows — inside another string value,
 // say — is skipped.
 size_t FindFieldValue(std::string_view body, std::string_view key) {
-  const auto skip_ws = [&](size_t i) {
-    while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
-                               body[i] == '\r' || body[i] == '\n')) {
-      ++i;
-    }
-    return i;
-  };
   std::string needle;
   needle.reserve(key.size() + 2);
   needle += '"';
@@ -168,10 +170,24 @@ size_t FindFieldValue(std::string_view body, std::string_view key) {
   needle += '"';
   for (size_t pos = body.find(needle); pos != std::string_view::npos;
        pos = body.find(needle, pos + 1)) {
-    const size_t i = skip_ws(pos + needle.size());
-    if (i < body.size() && body[i] == ':') return skip_ws(i + 1);
+    const size_t i = SkipSpace(body, pos + needle.size());
+    if (i < body.size() && body[i] == ':') return SkipSpace(body, i + 1);
   }
   return std::string_view::npos;
+}
+
+// Decodes the string literal opening at body[*i] and moves *i past its
+// closing quote.
+bool ReadStringLiteral(std::string_view body, size_t* i, std::string* out) {
+  if (*i >= body.size() || body[*i] != '"') return false;
+  const size_t start = ++*i;
+  while (*i < body.size() && body[*i] != '"') {
+    *i += body[*i] == '\\' ? 2 : 1;
+  }
+  if (*i >= body.size()) return false;  // unterminated
+  const std::string_view contents = body.substr(start, *i - start);
+  ++*i;
+  return JsonUnescape(contents, out);
 }
 
 }  // namespace
@@ -179,13 +195,26 @@ size_t FindFieldValue(std::string_view body, std::string_view key) {
 bool JsonFindString(std::string_view body, std::string_view key,
                     std::string* out) {
   size_t i = FindFieldValue(body, key);
-  if (i >= body.size() || body[i] != '"') return false;
-  const size_t start = ++i;
-  while (i < body.size() && body[i] != '"') {
-    i += body[i] == '\\' ? 2 : 1;
+  return ReadStringLiteral(body, &i, out);
+}
+
+bool JsonFindStringArray(std::string_view body, std::string_view key,
+                         std::vector<std::string>* out) {
+  size_t i = FindFieldValue(body, key);
+  if (i >= body.size() || body[i] != '[') return false;
+  out->clear();
+  i = SkipSpace(body, i + 1);
+  if (i < body.size() && body[i] == ']') return true;
+  while (true) {
+    std::string element;
+    if (!ReadStringLiteral(body, &i, &element)) return false;
+    out->push_back(std::move(element));
+    i = SkipSpace(body, i);
+    if (i >= body.size()) return false;
+    if (body[i] == ']') return true;
+    if (body[i] != ',') return false;
+    i = SkipSpace(body, i + 1);
   }
-  if (i >= body.size()) return false;  // unterminated
-  return JsonUnescape(body.substr(start, i - start), out);
 }
 
 bool JsonFindUInt(std::string_view body, std::string_view key,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace egi {
 
@@ -37,6 +38,13 @@ std::string JsonNumber(double value);
 /// round-trip. Shared by the egid daemon and the egid-router.
 bool JsonFindString(std::string_view body, std::string_view key,
                     std::string* out);
+
+/// The string-array twin of JsonFindString: the elements of a top-level
+/// `"key":["a","b",...]` pair, each decoded through JsonUnescape, replacing
+/// `*out`. Returns false when the key is absent, its value is not an array
+/// of strings, or an element is malformed.
+bool JsonFindStringArray(std::string_view body, std::string_view key,
+                         std::vector<std::string>* out);
 
 /// The unsigned-integer twin of JsonFindString: the value of a top-level
 /// `"key":123` pair. Returns false when the key is absent, its value does

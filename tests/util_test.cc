@@ -495,6 +495,34 @@ TEST(JsonTest, FindUIntRejectsNonDigitValues) {
   EXPECT_FALSE(JsonFindUInt(R"({"stream":1})", "accepted", &v));
 }
 
+TEST(JsonTest, FindStringArrayTable) {
+  struct Case {
+    const char* body;
+    bool ok;
+    std::vector<std::string> elements;
+  };
+  const Case cases[] = {
+      {R"({"shards":["a:1:2","b:3:4"]})", true, {"a:1:2", "b:3:4"}},
+      {R"({"shards" : [ "a" , "b" ] })", true, {"a", "b"}},
+      {R"({"shards":[]})", true, {}},
+      {R"({"shards":["q\"uote","A"]})", true, {"q\"uote", "A"}},
+      {R"({"name":"shards","shards":["x"]})", true, {"x"}},
+      {R"({"shards":["a\"]})", false, {}},  // unterminated
+      {R"({"shards":["a",]})", false, {}},
+      {R"({"shards":["a" "b"]})", false, {}},
+      {R"({"shards":["a",1]})", false, {}},
+      {R"({"shards":["a")", false, {}},
+      {R"({"shards":"a"})", false, {}},
+      {R"({"shards":["\x"]})", false, {}},  // bad escape
+      {R"({"other":["a"]})", false, {}},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> out = {"stale"};
+    ASSERT_EQ(JsonFindStringArray(c.body, "shards", &out), c.ok) << c.body;
+    if (c.ok) EXPECT_EQ(out, c.elements) << c.body;
+  }
+}
+
 // ------------------------------------------------------------------ Table
 
 TEST(TableTest, FormatDoubleFixedPrecision) {
