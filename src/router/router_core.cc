@@ -101,8 +101,8 @@ struct RouterCore::Impl {
                               std::string_view target, std::string_view body,
                               std::string_view content_type =
                                   "application/json");
+  void SetHealthy(Backend& b, bool healthy);  // counts + journals flips
   void MarkDown(Backend& b);
-  void MarkUp(Backend& b);
   void ProbeOne(Backend& b);
   void ProbeLoop();
 
@@ -115,6 +115,18 @@ struct RouterCore::Impl {
   // shard, the reply body under `field` when it is a 200.
   std::string Gather(std::string_view path, std::string_view field);
 
+  // Route and backend objects are never destroyed, so the pointers outlive
+  // the lock.
+  StreamRoute* RouteAt(uint64_t gid) const {
+    std::shared_lock<std::shared_mutex> lock(table_mu);
+    return gid < routes.size() ? routes[gid].get() : nullptr;
+  }
+  std::vector<Backend*> AllBackends() const {
+    std::shared_lock<std::shared_mutex> lock(table_mu);
+    std::vector<Backend*> out;
+    for (const auto& b : backends) out.push_back(b.get());
+    return out;
+  }
   std::vector<size_t> ActiveSnapshot() const {
     std::shared_lock<std::shared_mutex> lock(table_mu);
     return active;
@@ -165,12 +177,18 @@ RouterCore::Impl::Backend* RouterCore::Impl::BackendAt(size_t index) {
   return backends[index].get();
 }
 
-void RouterCore::Impl::MarkDown(Backend& b) {
-  if (b.healthy.exchange(false, std::memory_order_relaxed)) {
-    Telemetry().GetCounter("router.shard_down")->Add(1);
-    Telemetry().journal().Emit("router.shard_down",
-                               {{"endpoint", EndpointToString(b.endpoint)}});
+void RouterCore::Impl::SetHealthy(Backend& b, bool healthy) {
+  if (b.healthy.exchange(healthy, std::memory_order_relaxed) == healthy) {
+    return;
   }
+  const char* event = healthy ? "router.shard_up" : "router.shard_down";
+  Telemetry().GetCounter(event)->Add(1);
+  Telemetry().journal().Emit(event,
+                             {{"endpoint", EndpointToString(b.endpoint)}});
+}
+
+void RouterCore::Impl::MarkDown(Backend& b) {
+  SetHealthy(b, false);
   // Flush the idle pool: channels that sat unused while the shard died
   // hold sockets to the dead process, and would poison the first requests
   // after a restart on the same ports. Channels currently acquired fail
@@ -180,14 +198,6 @@ void RouterCore::Impl::MarkDown(Backend& b) {
     b.live -= b.idle.size();
     b.idle.clear();
     b.pool_cv.notify_all();
-  }
-}
-
-void RouterCore::Impl::MarkUp(Backend& b) {
-  if (!b.healthy.exchange(true, std::memory_order_relaxed)) {
-    Telemetry().GetCounter("router.shard_up")->Add(1);
-    Telemetry().journal().Emit("router.shard_up",
-                               {{"endpoint", EndpointToString(b.endpoint)}});
   }
 }
 
@@ -210,7 +220,7 @@ Result<HttpReply> RouterCore::Impl::ShardHttp(size_t backend_index,
     return reply.status();
   }
   Release(b, std::move(channel));
-  MarkUp(b);
+  SetHealthy(b, true);
   return reply;
 }
 
@@ -242,7 +252,7 @@ void RouterCore::Impl::ProbeOne(Backend& b) {
   auto reply = channel->Http("GET", "/healthz", "", "application/json");
   std::lock_guard<std::mutex> lock(b.probe_mu);
   if (reply.ok() && reply->status == 200) {
-    MarkUp(b);
+    SetHealthy(b, true);
     b.failed_probes = 0;
     b.next_probe =
         Clock::now() + Seconds(options.probe_interval_seconds);
@@ -263,14 +273,8 @@ void RouterCore::Impl::ProbeOne(Backend& b) {
 void RouterCore::Impl::ProbeLoop() {
   while (!stop_probe.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    std::vector<Backend*> snapshot;
-    {
-      std::shared_lock<std::shared_mutex> lock(table_mu);
-      snapshot.reserve(backends.size());
-      for (const auto& b : backends) snapshot.push_back(b.get());
-    }
     const auto now = Clock::now();
-    for (Backend* b : snapshot) {
+    for (Backend* b : AllBackends()) {
       bool due = false;
       {
         std::lock_guard<std::mutex> lock(b->probe_mu);
@@ -622,15 +626,13 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
   const auto reject = [&](RejectReason reason) {
     return counters.Reject(request.stream, reason);
   };
+  const auto unavailable = [&](const char* site) {
+    Telemetry().GetCounter(std::string("router.reject_site.") + site)->Add(1);
+    return reject(RejectReason::kUnavailable);
+  };
 
-  Impl::StreamRoute* route = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> lock(impl_->table_mu);
-    if (request.stream >= impl_->routes.size()) {
-      return reject(RejectReason::kUnknownStream);
-    }
-    route = impl_->routes[request.stream].get();
-  }
+  Impl::StreamRoute* route = impl_->RouteAt(request.stream);
+  if (route == nullptr) return reject(RejectReason::kUnknownStream);
 
   size_t backend_index = 0;
   uint64_t local_id = 0;
@@ -646,8 +648,7 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
                                impl_->options.migrate_timeout_seconds);
     if (!route->cv.wait_until(lock, deadline,
                               [&] { return !route->migrating; })) {
-      Telemetry().GetCounter("router.reject_site.migrate_wait")->Add(1);
-      return reject(RejectReason::kUnavailable);
+      return unavailable("migrate_wait");
     }
     if (route->deleted) return reject(RejectReason::kUnknownStream);
     backend_index = route->backend;
@@ -665,33 +666,27 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
 
   Impl::Backend& backend = *impl_->BackendAt(backend_index);
   if (!backend.healthy.load(std::memory_order_relaxed)) {
-    Telemetry().GetCounter("router.reject_site.unhealthy")->Add(1);
-    return reject(RejectReason::kUnavailable);
+    return unavailable("unhealthy");
   }
   auto channel = impl_->Acquire(backend);
   if (channel == nullptr) {
-    Telemetry().GetCounter("router.reject_site.pool_exhausted")->Add(1);
-    return reject(RejectReason::kUnavailable);
+    return unavailable("pool_exhausted");
   }
   auto reply = channel->Ingest(local_id, request.values);
   if (!reply.ok()) {
-    Telemetry().GetCounter("router.reject_site.transport")->Add(1);
     Telemetry().journal().Emit(
         "router.shard_transport_error",
         {{"shard", std::to_string(backend_index)},
          {"error", std::string(reply.status().message())}});
     impl_->Discard(backend);
     impl_->MarkDown(backend);
-    return reject(RejectReason::kUnavailable);
+    return unavailable("transport");
   }
   impl_->Release(backend, std::move(channel));
+  if (reply->type != FrameType::kAck) return reject(reply->reason);
+  forwarded->Add(request.values.size());
   resp = *reply;
   resp.stream = request.stream;  // local → global rewrite
-  if (resp.type == FrameType::kAck) {
-    forwarded->Add(request.values.size());
-  } else {
-    counters.CountReject(resp.reason);
-  }
   return resp;
 }
 
@@ -724,15 +719,9 @@ bool RouterCore::shard_healthy(size_t index) const {
 }
 
 void RouterCore::ProbeNow() {
-  std::vector<Impl::Backend*> snapshot;
-  {
-    std::shared_lock<std::shared_mutex> lock(impl_->table_mu);
-    snapshot.reserve(impl_->backends.size());
-    for (const auto& backend : impl_->backends) {
-      snapshot.push_back(backend.get());
-    }
+  for (Impl::Backend* backend : impl_->AllBackends()) {
+    impl_->ProbeOne(*backend);
   }
-  for (Impl::Backend* backend : snapshot) impl_->ProbeOne(*backend);
 }
 
 std::string RouterCore::Handle(const HttpRequest& request) {
@@ -790,8 +779,7 @@ std::string RouterCore::Handle(const HttpRequest& request) {
       auto created =
           impl_->CreateStream(std::move(tenant), std::move(name));
       if (!created.ok()) {
-        return RenderHttpError(service::StatusToHttp(created.status()),
-                               created.status().message());
+        return service::RenderStatusError(created.status());
       }
       return RenderHttpResponse(201, created->second);
     }
@@ -814,11 +802,7 @@ std::string RouterCore::Handle(const HttpRequest& request) {
     if (request.method != "GET" && request.method != "DELETE") {
       return RenderHttpError(405, "use GET or DELETE");
     }
-    Impl::StreamRoute* route = nullptr;
-    {
-      std::shared_lock<std::shared_mutex> lock(impl_->table_mu);
-      if (gid < impl_->routes.size()) route = impl_->routes[gid].get();
-    }
+    Impl::StreamRoute* route = impl_->RouteAt(gid);
     size_t backend_index = 0;
     uint64_t local_id = 0;
     if (route != nullptr) {
@@ -883,10 +867,8 @@ std::string RouterCore::Handle(const HttpRequest& request) {
         std::shared_lock<std::shared_mutex> lock(impl_->table_mu);
         body = "{\"version\":" + std::to_string(impl_->version) +
                ",\"shards\":[";
-        bool first = true;
         for (const size_t index : impl_->active) {
-          if (!first) body += ',';
-          first = false;
+          if (body.back() != '[') body += ',';
           body += JsonQuote(
               EndpointToString(impl_->backends[index]->endpoint));
         }
@@ -914,8 +896,7 @@ std::string RouterCore::Handle(const HttpRequest& request) {
       }
       auto installed = InstallShardMap(std::move(endpoints));
       if (!installed.ok()) {
-        return RenderHttpError(service::StatusToHttp(installed.status()),
-                               installed.status().message());
+        return service::RenderStatusError(installed.status());
       }
       // Partial migration failure reports 500 with the summary: the moved
       // streams are committed, the failed ones still serve from their old

@@ -20,12 +20,14 @@
 
 #include "router/shard_channel.h"
 #include "service/http.h"
+#include "service/server.h"
 
 namespace egi::router {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using service::WriteAll;
 
 int RemainingMillis(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -71,19 +73,6 @@ Result<int> Connect(const std::string& host, int port,
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   (void)deadline;  // connect is blocking; the OS timeout bounds it
   return fd;
-}
-
-Status WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("write: ") + std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 /// Reads at least one byte into `buffer` before `deadline`, or errors.

@@ -78,26 +78,20 @@ std::string_view RejectReasonName(RejectReason reason) {
 IngestCounters::IngestCounters(std::string_view prefix) {
   auto& registry = telemetry::Registry::Global();
   const std::string base(prefix);
-  frames_ = registry.GetCounter(base + ".ingest_frames");
-  rejected_ = registry.GetCounter(base + ".frames_rejected");
-  for (size_t i = 0; i < by_reason_.size(); ++i) {
-    by_reason_[i] = registry.GetCounter(
+  frames = registry.GetCounter(base + ".ingest_frames");
+  rejected = registry.GetCounter(base + ".frames_rejected");
+  for (size_t i = 0; i < by_reason.size(); ++i) {
+    by_reason[i] = registry.GetCounter(
         base + ".reject." +
         std::string(RejectReasonName(static_cast<RejectReason>(i))));
   }
 }
 
-void IngestCounters::CountFrame() const { frames_->Add(1); }
-
-void IngestCounters::CountReject(RejectReason reason) const {
-  const auto index = static_cast<size_t>(reason);
-  rejected_->Add(1);
-  by_reason_[index < by_reason_.size() ? index : 0]->Add(1);
-}
-
 IngestResponse IngestCounters::Reject(uint64_t stream,
                                       RejectReason reason) const {
-  CountReject(reason);
+  const auto index = static_cast<size_t>(reason);
+  rejected->Add(1);
+  by_reason[index < by_reason.size() ? index : 0]->Add(1);
   IngestResponse resp;
   resp.type = FrameType::kReject;
   resp.stream = stream;
@@ -107,23 +101,20 @@ IngestResponse IngestCounters::Reject(uint64_t stream,
 
 bool AdmitFrame(const IngestRequest& request, bool draining,
                 const IngestCounters& counters, IngestResponse* resp) {
-  counters.CountFrame();
+  counters.frames->Add(1);
   *resp = IngestResponse();
   resp->stream = request.stream;
-  if (request.hello) {
-    if (request.protocol_version != kProtocolVersion) {
-      *resp = counters.Reject(request.stream, RejectReason::kVersionMismatch);
-      return true;
-    }
+  if (request.hello && request.protocol_version == kProtocolVersion) {
     resp->type = FrameType::kHelloAck;
     resp->protocol_version = kProtocolVersion;
-    return true;
+  } else if (request.hello || draining) {
+    *resp = counters.Reject(request.stream,
+                            request.hello ? RejectReason::kVersionMismatch
+                                          : RejectReason::kDraining);
+  } else {
+    return false;
   }
-  if (draining) {
-    *resp = counters.Reject(request.stream, RejectReason::kDraining);
-    return true;
-  }
-  return false;
+  return true;
 }
 
 void EncodeIngestFrame(uint64_t stream, std::span<const double> values,

@@ -104,32 +104,24 @@ struct IngestResponse {
   uint8_t protocol_version = 0;
 };
 
-/// One daemon's ingest counters, resolved once (a function-local static at
-/// the call site) so no frame pays a registry lookup: `<prefix>.ingest_frames`,
-/// `<prefix>.frames_rejected` and `<prefix>.reject.<reason>`.
-class IngestCounters {
- public:
+/// One daemon's ingest counters, resolved once so no frame pays a registry
+/// lookup: `<prefix>.ingest_frames`, `.frames_rejected`, `.reject.<reason>`.
+struct IngestCounters {
   explicit IngestCounters(std::string_view prefix);
-
-  void CountFrame() const;
-  /// A reject of `reason` addressed to `stream`, counted.
+  /// Counts a reject of `reason` (an unknown reason byte as "unknown") and
+  /// returns it addressed to `stream`.
   IngestResponse Reject(uint64_t stream, RejectReason reason) const;
-  /// Counts a reject this daemon relays rather than makes (the router
-  /// passing on a shard's reply). Unknown reason bytes count as "unknown".
-  void CountReject(RejectReason reason) const;
 
- private:
-  telemetry::Counter* frames_;
-  telemetry::Counter* rejected_;
-  std::array<telemetry::Counter*, 8> by_reason_;  // by reason byte; 0 unknown
+  telemetry::Counter* frames;
+  telemetry::Counter* rejected;
+  std::array<telemetry::Counter*, 8> by_reason;  // by reason byte; 0 unknown
 };
 
-/// The ingest prologue egid and the egid-router share: counts the frame,
+/// The ingest prologue of egid and the egid-router: counts the frame,
 /// answers a hello (helloack, or a kVersionMismatch reject — before the
-/// draining check, so a draining server still tells a connecting router
-/// why frames will bounce) and rejects every other frame while `draining`.
-/// Returns true when `*resp` is the final reply; otherwise `*resp` is an
-/// ack addressed to the request's stream for the caller to complete.
+/// draining check, so a draining server still says why frames will bounce)
+/// and rejects any other frame while `draining`. Returns true when `*resp`
+/// is final; otherwise `*resp` is an ack for the caller to complete.
 bool AdmitFrame(const IngestRequest& request, bool draining,
                 const IngestCounters& counters, IngestResponse* resp);
 

@@ -254,16 +254,17 @@ std::string RenderHttpError(int status, std::string_view message) {
                             "{\"error\":" + JsonQuote(message) + "}");
 }
 
-int StatusToHttp(const Status& status) {
+std::string RenderStatusError(const Status& status) {
+  int code = 500;  // kInternal
   switch (status.code()) {
-    case StatusCode::kOk: return 200;
-    case StatusCode::kInvalidArgument: return 400;
-    case StatusCode::kOutOfRange: return 400;
-    case StatusCode::kNotFound: return 404;
-    case StatusCode::kFailedPrecondition: return 409;
-    case StatusCode::kInternal: return 500;
+    case StatusCode::kOk: code = 200; break;
+    case StatusCode::kInvalidArgument: code = 400; break;
+    case StatusCode::kOutOfRange: code = 400; break;
+    case StatusCode::kNotFound: code = 404; break;
+    case StatusCode::kFailedPrecondition: code = 409; break;
+    case StatusCode::kInternal: break;
   }
-  return 500;
+  return RenderHttpError(code, status.message());
 }
 
 bool ParseStreamPath(std::string_view path, size_t* id,

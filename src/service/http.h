@@ -87,8 +87,9 @@ std::string RenderHttpResponse(int status, std::string_view body,
 /// `{"error":"<escaped message>"}` body with the given status.
 std::string RenderHttpError(int status, std::string_view message);
 
-/// Status code → HTTP status mapping shared by every control-plane handler.
-int StatusToHttp(const Status& status);
+/// The error reply for a failed operation: its Status code mapped to an
+/// HTTP status, its message in the RenderHttpError body.
+std::string RenderStatusError(const Status& status);
 
 /// Splits a "/v1/streams/<id>[/<suffix>]" path (the per-stream routes of
 /// egid and the egid-router): `id` is the decimal stream id — 1 to 18
@@ -97,18 +98,15 @@ int StatusToHttp(const Status& status);
 bool ParseStreamPath(std::string_view path, size_t* id,
                      std::string_view* suffix);
 
-/// `{"stream":<id>` — the opening of every per-stream reply body of egid.
-/// RebaseStreamBody is the one reader of that prefix.
+/// `{"stream":<id>`, the opening of every per-stream body egid renders.
 std::string OpenStreamBody(size_t stream);
 
-/// The egid-router's view of a shard's per-stream body: the leading
-/// `{"stream":<local>` becomes `{"stream":<gid>,"shard":<shard>`, so
-/// clients only ever see router ids. Other bodies pass through unchanged.
+/// The router's copy of a shard's per-stream body: `{"stream":<local>`
+/// becomes `{"stream":<gid>,"shard":<shard>`; other bodies pass through.
 std::string RebaseStreamBody(std::string_view body, size_t gid, size_t shard);
 
-/// The POST /v1/streams body, `{"tenant":...,"name":...}`: rendered by the
-/// router for its shards, read back by both daemons. Reading fails (the
-/// 400 reply) without a "tenant" string; "name" is optional.
+/// The POST /v1/streams body, `{"tenant":...,"name":...}`. Parsing fails
+/// (the 400 reply) without a "tenant" string; "name" is optional.
 std::string RenderCreateStreamBody(std::string_view tenant,
                                    std::string_view name);
 bool ParseCreateStreamBody(std::string_view body, std::string* tenant,

@@ -119,14 +119,48 @@ struct HubService::Impl {
     return Status::NotFound("no stream " + std::to_string(id));
   }
   bool ConsumeQuota(Tenant& tenant, size_t count);
+  // `n` queued points left the queue (scored or dropped); wakes Flush
+  // when none remain.
+  void RetirePending(size_t n) {
+    if (pending_points.fetch_sub(n, std::memory_order_acq_rel) == n) {
+      std::lock_guard<std::mutex> lock(flush_mu);
+      flush_cv.notify_all();
+    }
+  }
+
   // Admission counters of stream `id` rebuilt from its restored detector:
   // the detector is the source of truth for how many points it consumed.
-  void SyncCountersFromHub(size_t id);
-  // Runs `fn(state)` under the queue and detect locks of a live stream
-  // whose every acked point is scored; FailedPrecondition otherwise.
+  void SyncCountersFromHub(size_t id) {
+    StreamState& st = *streams[id];
+    st.accepted_total = hub.Stats(id).total_appended;
+    st.scored_total.store(st.accepted_total, std::memory_order_relaxed);
+    const std::vector<double> last = hub.RecentScores(id, 1);
+    const bool scored = !last.empty() && !std::isnan(last.back());
+    st.last_score.store(scored ? last.back() : 0.0, std::memory_order_relaxed);
+    st.last_scored.store(scored, std::memory_order_relaxed);
+  }
+
+  // Runs `fn()` under the queue and detect locks of a live stream whose
+  // every acked point is scored; NotFound / FailedPrecondition otherwise.
+  // Both locks: queue empty alone is not enough — a drain worker pops a
+  // chunk off the queue *before* scoring it, so a blob would miss those
+  // points. accepted == scored under both locks means every acked point is
+  // inside the detector.
   template <typename Fn>
-  auto WithDrainedStream(size_t id, Fn fn) const -> decltype(fn(
-      std::declval<StreamState&>()));
+  auto WithDrainedStream(size_t id, Fn fn) const -> decltype(fn()) {
+    std::shared_lock<std::shared_mutex> structural(struct_mu);
+    if (!Live(id)) return NoStream(id);
+    StreamState& st = *streams[id];
+    std::scoped_lock lock(st.queue_mu, st.detect_mu);
+    if (!st.queue.empty() ||
+        st.accepted_total != st.scored_total.load(std::memory_order_relaxed)) {
+      return Status::FailedPrecondition(
+          "stream " + std::to_string(id) +
+          " still has unscored points; flush first");
+    }
+    return fn();
+  }
+
   void DrainStream(size_t id);
   void WorkerLoop();
   Tenant* GetOrCreateTenant(const std::string& name);  // excl. lock held
@@ -202,36 +236,6 @@ bool HubService::Impl::ConsumeQuota(Tenant& tenant, size_t count) {
   if (tenant.tokens < static_cast<double>(count)) return false;
   tenant.tokens -= static_cast<double>(count);
   return true;
-}
-
-void HubService::Impl::SyncCountersFromHub(size_t id) {
-  StreamState& st = *streams[id];
-  st.accepted_total = hub.Stats(id).total_appended;
-  st.scored_total.store(st.accepted_total, std::memory_order_relaxed);
-  const std::vector<double> last = hub.RecentScores(id, 1);
-  const bool scored = !last.empty() && !std::isnan(last.back());
-  st.last_score.store(scored ? last.back() : 0.0, std::memory_order_relaxed);
-  st.last_scored.store(scored, std::memory_order_relaxed);
-}
-
-template <typename Fn>
-auto HubService::Impl::WithDrainedStream(size_t id, Fn fn) const
-    -> decltype(fn(std::declval<StreamState&>())) {
-  std::shared_lock<std::shared_mutex> structural(struct_mu);
-  if (!Live(id)) return NoStream(id);
-  StreamState& st = *streams[id];
-  // Both locks: queue empty alone is not enough — a drain worker pops a
-  // chunk off the queue *before* scoring it, so a blob would miss those
-  // points. accepted == scored under both locks means every acked point is
-  // inside the detector.
-  std::scoped_lock lock(st.queue_mu, st.detect_mu);
-  if (!st.queue.empty() ||
-      st.accepted_total != st.scored_total.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition(
-        "stream " + std::to_string(id) +
-        " still has unscored points; flush first");
-  }
-  return fn(st);
 }
 
 // --------------------------------------------------------------- data plane
@@ -341,11 +345,7 @@ void HubService::Impl::DrainStream(size_t id) {
       }
     }
     scored_counter->Add(chunk.size());
-    if (pending_points.fetch_sub(chunk.size(), std::memory_order_acq_rel) ==
-        chunk.size()) {
-      std::lock_guard<std::mutex> lock(flush_mu);
-      flush_cv.notify_all();
-    }
+    RetirePending(chunk.size());
   }
 }
 
@@ -404,14 +404,8 @@ Status HubService::DeleteStream(size_t stream) {
   // sections still checkpoint, keeping ids positionally stable).
   {
     std::lock_guard<std::mutex> lock(st.queue_mu);
-    const size_t dropped = st.queue.size();
+    if (!st.queue.empty()) impl_->RetirePending(st.queue.size());
     st.queue.clear();
-    if (dropped > 0 &&
-        impl_->pending_points.fetch_sub(
-            dropped, std::memory_order_acq_rel) == dropped) {
-      std::lock_guard<std::mutex> flush_lock(impl_->flush_mu);
-      impl_->flush_cv.notify_all();
-    }
   }
   deleted->Add(1);
   return Status::OK();
@@ -597,7 +591,7 @@ Result<std::vector<uint8_t>> HubService::ExportStreamCheckpoint(
     size_t stream) const {
   static auto* exports = Telemetry().GetCounter("service.stream_exports");
   return impl_->WithDrainedStream(
-      stream, [&](Impl::StreamState&) -> Result<std::vector<uint8_t>> {
+      stream, [&]() -> Result<std::vector<uint8_t>> {
         EGI_ASSIGN_OR_RETURN(auto blob, impl_->hub.CheckpointStream(stream));
         exports->Add(1);
         Telemetry().journal().Emit(
@@ -610,7 +604,7 @@ Result<std::vector<uint8_t>> HubService::ExportStreamCheckpoint(
 Status HubService::ImportStreamCheckpoint(size_t stream,
                                           std::span<const uint8_t> blob) {
   static auto* imports = Telemetry().GetCounter("service.stream_imports");
-  return impl_->WithDrainedStream(stream, [&](Impl::StreamState&) {
+  return impl_->WithDrainedStream(stream, [&] {
     EGI_RETURN_IF_ERROR(impl_->hub.RestoreStream(stream, blob));
     impl_->SyncCountersFromHub(stream);
     imports->Add(1);
@@ -700,18 +694,16 @@ std::string HubService::Handle(const HttpRequest& request) {
       }
       auto created = CreateStream(std::move(tenant), std::move(name));
       if (!created.ok()) {
-        const int code = draining() ? 503 : StatusToHttp(created.status());
-        return RenderHttpError(code, created.status().message());
+        return draining() ? RenderHttpError(503, created.status().message())
+                          : RenderStatusError(created.status());
       }
       auto info = Describe(*created);
       return RenderHttpResponse(201, RenderStreamInfo(*info));
     }
     if (request.method == "GET") {
       std::string body = "{\"streams\":[";
-      bool first = true;
       for (const StreamInfo& info : List()) {
-        if (!first) body += ',';
-        first = false;
+        if (body.back() != '[') body += ',';
         body += RenderStreamInfo(info);
       }
       body += "]}";
@@ -725,8 +717,7 @@ std::string HubService::Handle(const HttpRequest& request) {
       if (request.method == "GET") {
         auto blob = ExportStreamCheckpoint(id);
         if (!blob.ok()) {
-          return RenderHttpError(StatusToHttp(blob.status()),
-                                 blob.status().message());
+          return RenderStatusError(blob.status());
         }
         return RenderHttpResponse(
             200,
@@ -740,7 +731,7 @@ std::string HubService::Handle(const HttpRequest& request) {
                     reinterpret_cast<const uint8_t*>(request.body.data()),
                     request.body.size()));
         if (!status.ok()) {
-          return RenderHttpError(StatusToHttp(status), status.message());
+          return RenderStatusError(status);
         }
         return RenderHttpResponse(200,
                                   OpenStreamBody(id) + ",\"imported\":true}");
@@ -753,8 +744,7 @@ std::string HubService::Handle(const HttpRequest& request) {
     if (request.method == "GET") {
       auto info = Describe(id);
       if (!info.ok()) {
-        return RenderHttpError(StatusToHttp(info.status()),
-                               info.status().message());
+        return RenderStatusError(info.status());
       }
       std::string body = RenderStreamInfo(*info);
       const long tail = request.QueryInt("tail", 0);
@@ -763,10 +753,8 @@ std::string HubService::Handle(const HttpRequest& request) {
         if (scores.ok()) {
           body.pop_back();  // reopen the object to append "scores"
           body += ",\"scores\":[";
-          bool first = true;
           for (const double s : *scores) {
-            if (!first) body += ',';
-            first = false;
+            if (body.back() != '[') body += ',';
             body += JsonNumber(s);
           }
           body += "]}";
@@ -777,7 +765,7 @@ std::string HubService::Handle(const HttpRequest& request) {
     if (request.method == "DELETE") {
       const Status status = DeleteStream(id);
       if (!status.ok()) {
-        return RenderHttpError(StatusToHttp(status), status.message());
+        return RenderStatusError(status);
       }
       return RenderHttpResponse(200,
                                 OpenStreamBody(id) + ",\"deleted\":true}");
@@ -793,7 +781,7 @@ std::string HubService::Handle(const HttpRequest& request) {
     if (request.method != "POST") return RenderHttpError(405, "use POST");
     const Status status = CheckpointNow();
     if (!status.ok()) {
-      return RenderHttpError(StatusToHttp(status), status.message());
+      return RenderStatusError(status);
     }
     return RenderHttpResponse(
         200, "{\"checkpoint\":" + JsonQuote(impl_->options.checkpoint_path) +

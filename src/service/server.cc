@@ -27,19 +27,6 @@ namespace {
 /// RequestStop.
 constexpr int kPollMillis = 200;
 
-Status WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("write: ") + std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 /// Waits for readability with a timeout; returns false on stop/timeout with
 /// nothing to read, true when the fd is readable (or closed).
 bool PollReadable(int fd) {
@@ -52,6 +39,19 @@ bool PollReadable(int fd) {
 }
 
 }  // namespace
+
+Status WriteAll(int fd, const uint8_t* data, size_t size) {
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::write(fd, data + done, size - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(std::string("write: ") + std::strerror(errno));
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
 
 struct Server::Impl {
   ServiceHandler* service;
@@ -70,6 +70,11 @@ struct Server::Impl {
 
   Result<int> Listen(int port, int* bound_port);
   void AcceptLoop(int listen_fd, bool http);
+  // Reads `fd` until the peer closes, a read fails or the server stops,
+  // handing each chunk to `consume`, which returns false to close; then
+  // closes `fd`.
+  template <typename Consume>
+  void ReadLoop(int fd, Consume consume);
   void HttpConnection(int fd);
   void IngestConnection(int fd);
   void CheckpointTimerLoop();
@@ -193,9 +198,9 @@ void Server::Impl::AcceptLoop(int listen_fd, bool http) {
   }
 }
 
-void Server::Impl::HttpConnection(int fd) {
-  std::string buffer;
-  char chunk[16 * 1024];
+template <typename Consume>
+void Server::Impl::ReadLoop(int fd, Consume consume) {
+  char chunk[64 * 1024];
   while (!stop.load(std::memory_order_relaxed)) {
     if (!PollReadable(fd)) continue;
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
@@ -204,59 +209,47 @@ void Server::Impl::HttpConnection(int fd) {
       if (errno == EINTR) continue;
       break;
     }
-    buffer.append(chunk, static_cast<size_t>(n));
-    bool close = false;
+    if (!consume(chunk, static_cast<size_t>(n))) break;
+  }
+  ::close(fd);
+}
+
+void Server::Impl::HttpConnection(int fd) {
+  std::string buffer;
+  ReadLoop(fd, [&](const char* data, size_t size) {
+    buffer.append(data, size);
     while (true) {
       HttpRequest request;
       size_t consumed = 0;
       const HttpParseResult parsed =
           ParseHttpRequest(buffer, &request, &consumed);
-      if (parsed == HttpParseResult::kNeedMore) break;
-      if (parsed == HttpParseResult::kMalformed) {
-        const std::string resp = RenderHttpError(400, "malformed request");
-        WriteAll(fd, reinterpret_cast<const uint8_t*>(resp.data()),
-                 resp.size());
-        close = true;
-        break;
-      }
+      if (parsed == HttpParseResult::kNeedMore) return true;
+      const bool malformed = parsed == HttpParseResult::kMalformed;
       buffer.erase(0, consumed);
-      const std::string resp = service->Handle(request);
+      const std::string resp = malformed
+                                   ? RenderHttpError(400, "malformed request")
+                                   : service->Handle(request);
       if (!WriteAll(fd, reinterpret_cast<const uint8_t*>(resp.data()),
                     resp.size())
-               .ok()) {
-        close = true;
-        break;
-      }
-      if (request.Header("connection") == "close") {
-        close = true;
-        break;
+               .ok() ||
+          malformed || request.Header("connection") == "close") {
+        return false;
       }
     }
-    if (close) break;
-  }
-  ::close(fd);
+  });
 }
 
 void Server::Impl::IngestConnection(int fd) {
   std::vector<uint8_t> buffer;
   std::vector<uint8_t> responses;
   IngestRequest request;  // reused: its values vector keeps its capacity
-  uint8_t chunk[64 * 1024];
-  while (!stop.load(std::memory_order_relaxed)) {
-    if (!PollReadable(fd)) continue;
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    buffer.insert(buffer.end(), chunk, chunk + n);
-
+  ReadLoop(fd, [&](const char* data, size_t size) {
+    buffer.insert(buffer.end(), data, data + size);
     // Decode every complete frame in the buffer, answer each, and send the
     // acks as one write (pipelined clients get batched responses).
     size_t offset = 0;
     responses.clear();
-    bool close = false;
+    bool open = true;
     while (true) {
       size_t consumed = 0;
       const FrameParseResult parsed = DecodeIngestFrame(
@@ -268,7 +261,7 @@ void Server::Impl::IngestConnection(int fd) {
         reject.type = FrameType::kReject;
         reject.reason = RejectReason::kMalformed;
         EncodeResponseFrame(reject, &responses);
-        close = true;
+        open = false;
         break;
       }
       offset += consumed;
@@ -276,13 +269,10 @@ void Server::Impl::IngestConnection(int fd) {
     }
     buffer.erase(buffer.begin(),
                  buffer.begin() + static_cast<ptrdiff_t>(offset));
-    if (!responses.empty() &&
-        !WriteAll(fd, responses.data(), responses.size()).ok()) {
-      break;
-    }
-    if (close) break;
-  }
-  ::close(fd);
+    return (responses.empty() ||
+            WriteAll(fd, responses.data(), responses.size()).ok()) &&
+           open;
+  });
 }
 
 void Server::Impl::CheckpointTimerLoop() {

@@ -39,6 +39,10 @@ struct ServerOptions {
   double checkpoint_interval_seconds = 0.0;
 };
 
+/// Writes all `size` bytes to a blocking socket, retrying EINTR (the
+/// server's replies and the router's shard requests).
+Status WriteAll(int fd, const uint8_t* data, size_t size);
+
 class Server {
  public:
   /// `service` must outlive the server.

@@ -149,12 +149,11 @@ std::string JsonNumber(double value) {
 
 namespace {
 
-bool IsJsonSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-}
-
 size_t SkipSpace(std::string_view body, size_t i) {
-  while (i < body.size() && IsJsonSpace(body[i])) ++i;
+  while (i < body.size() && (body[i] == ' ' || body[i] == '\t' ||
+                             body[i] == '\r' || body[i] == '\n')) {
+    ++i;
+  }
   return i;
 }
 

@@ -21,55 +21,13 @@
 // SIGTERM/SIGINT trigger a clean drain: stop accepting, reject new frames,
 // score everything queued, write a final checkpoint, exit 0.
 
-#include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "daemon.h"
 #include "service/hub_service.h"
-#include "service/server.h"
-#include "util/env.h"
 
 namespace {
-
-egi::service::Server* g_server = nullptr;
-
-void HandleSignal(int) {
-  if (g_server != nullptr) g_server->RequestStop();  // one atomic store
-}
-
-// --name=value (or --name value) flag reader over argv, with an env twin.
-struct Flags {
-  int argc;
-  char** argv;
-
-  const char* Find(const char* name) const {
-    const size_t len = std::strlen(name);
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--", 2) != 0) continue;
-      if (std::strncmp(arg + 2, name, len) != 0) continue;
-      if (arg[2 + len] == '=') return arg + 2 + len + 1;
-      if (arg[2 + len] == '\0' && i + 1 < argc) return argv[i + 1];
-    }
-    return nullptr;
-  }
-
-  int64_t Int(const char* name, const char* env, int64_t fallback) const {
-    if (const char* v = Find(name); v != nullptr) return std::atoll(v);
-    return egi::GetEnvInt(env, fallback);
-  }
-  double Double(const char* name, const char* env, double fallback) const {
-    if (const char* v = Find(name); v != nullptr) return std::atof(v);
-    return egi::GetEnvDouble(env, fallback);
-  }
-  std::string Str(const char* name, const char* env,
-                  const std::string& fallback) const {
-    if (const char* v = Find(name); v != nullptr) return v;
-    return egi::GetEnvString(env, fallback);
-  }
-};
 
 int Usage() {
   std::fprintf(stderr,
@@ -87,73 +45,32 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      return Usage();
-    }
-  }
-  const Flags flags{argc, argv};
+  const egi::service::DaemonFlags flags{"egid", "EGID_", argc, argv};
+  if (flags.help()) return Usage();
 
   egi::service::HubServiceOptions options;
-  options.spec = flags.Str("spec", "EGID_SPEC", "ensemble");
-  options.stream.window_length = static_cast<size_t>(
-      flags.Int("window", "EGID_WINDOW", 64));
-  options.stream.buffer_capacity = static_cast<size_t>(
-      flags.Int("buffer", "EGID_BUFFER", 4096));
-  options.stream.refit_interval = static_cast<size_t>(
-      flags.Int("refit-interval", "EGID_REFIT_INTERVAL", 512));
-  options.checkpoint_path = flags.Str("checkpoint", "EGID_CHECKPOINT", "");
-  options.queue_capacity = static_cast<size_t>(
-      flags.Int("queue-capacity", "EGID_QUEUE_CAPACITY", 8192));
-  options.max_streams_per_tenant = static_cast<size_t>(
-      flags.Int("max-streams-per-tenant", "EGID_MAX_STREAMS_PER_TENANT", 0));
-  options.points_per_second =
-      flags.Double("points-per-second", "EGID_POINTS_PER_SECOND", 0.0);
-  options.quota_burst = flags.Double("quota-burst", "EGID_QUOTA_BURST", 0.0);
-  options.num_workers = static_cast<size_t>(
-      flags.Int("workers", "EGID_WORKERS", 2));
+  options.spec = flags.Str("spec", "ensemble");
+  options.stream.window_length = static_cast<size_t>(flags.Int("window", 64));
+  options.stream.buffer_capacity =
+      static_cast<size_t>(flags.Int("buffer", 4096));
+  options.stream.refit_interval =
+      static_cast<size_t>(flags.Int("refit-interval", 512));
+  options.checkpoint_path = flags.Str("checkpoint", "");
+  options.queue_capacity =
+      static_cast<size_t>(flags.Int("queue-capacity", 8192));
+  options.max_streams_per_tenant =
+      static_cast<size_t>(flags.Int("max-streams-per-tenant", 0));
+  options.points_per_second = flags.Double("points-per-second", 0.0);
+  options.quota_burst = flags.Double("quota-burst", 0.0);
+  options.num_workers = static_cast<size_t>(flags.Int("workers", 2));
 
   auto service = egi::service::HubService::Create(std::move(options));
-  if (!service.ok()) {
-    std::fprintf(stderr, "egid: %s\n",
-                 service.status().ToString().c_str());
-    return 1;
-  }
+  if (!service.ok()) return flags.Fail(service.status().ToString());
 
   egi::service::ServerOptions server_options;
-  server_options.bind_address = flags.Str("bind", "EGID_BIND", "127.0.0.1");
-  server_options.http_port =
-      static_cast<int>(flags.Int("http-port", "EGID_HTTP_PORT", 0));
-  server_options.ingest_port =
-      static_cast<int>(flags.Int("ingest-port", "EGID_INGEST_PORT", 0));
   server_options.checkpoint_interval_seconds =
-      flags.Double("checkpoint-interval", "EGID_CHECKPOINT_INTERVAL", 0.0);
-
-  egi::service::Server server(service->get(), server_options);
-  const egi::Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "egid: %s\n", started.ToString().c_str());
-    return 1;
-  }
-
-  g_server = &server;
-  std::signal(SIGTERM, HandleSignal);
-  std::signal(SIGINT, HandleSignal);
-  std::signal(SIGPIPE, SIG_IGN);  // peer resets surface as write errors
-
-  std::printf("egid ready http=%d ingest=%d streams=%zu\n",
-              server.http_port(), server.ingest_port(),
-              (*service)->num_streams());
-  std::fflush(stdout);
-
-  const egi::Status drained = server.Wait();
-  g_server = nullptr;
-  if (!drained.ok()) {
-    std::fprintf(stderr, "egid: final checkpoint failed: %s\n",
-                 drained.ToString().c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "egid: drained cleanly\n");
-  return 0;
+      flags.Double("checkpoint-interval", 0.0);
+  return egi::service::RunDaemon(
+      flags, service->get(), "egid",
+      "streams=" + std::to_string((*service)->num_streams()), server_options);
 }
