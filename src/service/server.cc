@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -65,8 +66,15 @@ struct Server::Impl {
   std::atomic<bool> stop{false};
   std::vector<std::thread> acceptors;
   std::thread checkpoint_timer;
+  // One entry per connection thread, joined by the accept loops once
+  // `done` (so finished threads never pile up) and by JoinConnections at
+  // drain. List nodes are stable: a thread holds a pointer to its own.
+  struct Conn {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
   std::mutex conns_mu;
-  std::vector<std::thread> conns;
+  std::list<Conn> conns;
 
   Result<int> Listen(int port, int* bound_port);
   void AcceptLoop(int listen_fd, bool http);
@@ -190,11 +198,23 @@ void Server::Impl::AcceptLoop(int listen_fd, bool http) {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(conns_mu);
-    if (http) {
-      conns.emplace_back([this, fd] { HttpConnection(fd); });
-    } else {
-      conns.emplace_back([this, fd] { IngestConnection(fd); });
+    for (auto it = conns.begin(); it != conns.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();  // its last act was setting `done`
+      it = conns.erase(it);
     }
+    Conn* conn = &conns.emplace_back();
+    conn->thread = std::thread([this, fd, http, conn] {
+      if (http) {
+        HttpConnection(fd);
+      } else {
+        IngestConnection(fd);
+      }
+      conn->done.store(true, std::memory_order_release);
+    });
   }
 }
 
@@ -295,14 +315,12 @@ void Server::Impl::CheckpointTimerLoop() {
 }
 
 void Server::Impl::JoinConnections() {
-  std::vector<std::thread> drained;
+  std::list<Conn> drained;
   {
     std::lock_guard<std::mutex> lock(conns_mu);
     drained.swap(conns);
   }
-  for (std::thread& t : drained) {
-    if (t.joinable()) t.join();
-  }
+  for (Conn& conn : drained) conn.thread.join();
 }
 
 }  // namespace egi::service

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -8,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -20,6 +24,7 @@
 #include "service/frame.h"
 #include "service/http.h"
 #include "service/hub_service.h"
+#include "service/server.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -643,6 +648,59 @@ TEST_F(ServiceTest, ShutdownWritesFinalCheckpointAndDrains) {
   auto info = restored->Describe(0);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->scored_total, series.size());
+}
+
+size_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// One HTTP/1.1 request on a fresh connection that the server closes after
+// answering; returns the raw response.
+std::string OneShotHttp(int port, const std::string& request) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_TRUE(WriteAll(fd, reinterpret_cast<const uint8_t*>(request.data()),
+                       request.size())
+                  .ok());
+  std::string response;
+  char chunk[4096];
+  for (ssize_t n; (n = ::read(fd, chunk, sizeof(chunk))) > 0;) {
+    response.append(chunk, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+// Each connection thread is joined once it finishes, not at Wait(): the
+// process's mappings (two per unjoined thread stack) stay flat however many
+// connections come and go.
+TEST_F(ServiceTest, ServerReapsFinishedConnectionThreads) {
+  auto service = MustCreate(SmallServiceOptions());
+  Server server(service.get(), ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  const std::string request =
+      "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n";
+  for (int i = 0; i < 20; ++i) OneShotHttp(server.http_port(), request);
+  const size_t before = CountMappings();
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) {
+    const std::string response = OneShotHttp(server.http_port(), request);
+    ASSERT_NE(response.find("HTTP/1.1 200"), std::string::npos) << response;
+  }
+  const size_t after = CountMappings();
+  EXPECT_LT(after, before + kConnections / 4)
+      << "mappings grew from " << before << " to " << after;
+  server.RequestStop();
+  EXPECT_TRUE(server.Wait().ok());
 }
 
 }  // namespace
