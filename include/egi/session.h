@@ -176,7 +176,8 @@ class StreamHub {
 
   /// Restores a Checkpoint() blob, replacing every current stream.
   /// All-or-nothing: on any failure the hub is left exactly as it was.
-  /// Callbacks are cleared (they are not part of a checkpoint).
+  /// Callbacks are cleared (they are not part of a checkpoint). Restored
+  /// streams refit at this hub's `threads`, not the writer's.
   Status Restore(std::span<const uint8_t> blob);
 
   /// Checkpoints one stream into a standalone blob — the same bytes as a
@@ -188,7 +189,8 @@ class StreamHub {
 
   /// Replaces one stream's state with a CheckpointStream() blob; the
   /// stream's callback is cleared, other streams are untouched. On failure
-  /// the stream is left as it was.
+  /// the stream is left as it was. Like Restore(), the stream refits at
+  /// this hub's `threads`.
   Status RestoreStream(size_t stream, std::span<const uint8_t> blob);
 
  private:

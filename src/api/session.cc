@@ -102,6 +102,13 @@ struct StreamHub::Impl {
       : defaults(std::move(options)),
         parallelism(defaults.ensemble.parallelism) {}
 
+  // A restored detector refits at this hub's width, not its writer's.
+  std::unique_ptr<stream::StreamDetector> Adopt(
+      stream::StreamDetector detector) const {
+    detector.set_parallelism(parallelism);
+    return std::make_unique<stream::StreamDetector>(std::move(detector));
+  }
+
   void CheckStream(size_t id) const {
     EGI_CHECK(id < streams.size()) << "unknown stream " << id;
   }
@@ -249,7 +256,7 @@ Status StreamHub::Restore(std::span<const uint8_t> blob) {
   exec::ParallelFor(impl_->parallelism, 0, count, /*grain=*/1, [&](size_t i) {
     auto result = stream::StreamDetector::Deserialize(sections[i]);
     if (result.ok()) {
-      restored[i] = std::make_unique<stream::StreamDetector>(std::move(*result));
+      restored[i] = impl_->Adopt(std::move(*result));
     } else {
       statuses[i] = result.status();
     }
@@ -281,8 +288,7 @@ Status StreamHub::RestoreStream(size_t stream,
     return Status::NotFound("unknown stream " + std::to_string(stream));
   }
   EGI_ASSIGN_OR_RETURN(auto detector, stream::StreamDetector::Deserialize(blob));
-  impl_->streams[stream] =
-      std::make_unique<stream::StreamDetector>(std::move(detector));
+  impl_->streams[stream] = impl_->Adopt(std::move(detector));
   impl_->callbacks[stream] = Callback();
   return Status::OK();
 }

@@ -98,6 +98,13 @@ class StreamDetector {
   Status ForceRefit();
 
   const StreamDetectorOptions& options() const { return options_; }
+
+  /// Replaces the refit parallelism. A host restoring a snapshot installs
+  /// its own width, not the writer's; results are identical for every
+  /// thread count, so only speed (and re-serialized bytes) change.
+  void set_parallelism(exec::Parallelism parallelism) {
+    options_.ensemble.parallelism = parallelism;
+  }
   size_t window_length() const { return options_.ensemble.window_length; }
   uint64_t total_appended() const { return appended_; }
   size_t buffered() const { return window_.size(); }

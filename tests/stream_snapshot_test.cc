@@ -321,6 +321,56 @@ TEST(StreamEngineSnapshotTest, CheckpointIsThreadCountInvariant) {
   }
 }
 
+TEST(StreamEngineSnapshotTest, RestoredStreamsRefitAtTheRestoringHubsWidth) {
+  // A snapshot records its writer's `threads`; a hub restoring it installs
+  // its own, so a threads=1 checkpoint restored into a threads=4 hub
+  // re-serializes exactly like a threads=4 hub fed the same points.
+  const size_t kStreams = 3;
+  const auto data = EngineSeries(kStreams, 480);
+  const auto fed = [&](int threads) {
+    StreamHub hub = SmallHub(threads);
+    for (size_t s = 0; s < kStreams; ++s) hub.AddStream();
+    IngestChunk(hub, data, 0, 240);
+    return hub;
+  };
+  StreamHub narrow = fed(1);
+  StreamHub wide = fed(4);
+  EXPECT_NE(*narrow.CheckpointStream(0), *wide.CheckpointStream(0));
+
+  StreamHub whole = SmallHub(4);
+  ASSERT_TRUE(whole.Restore(narrow.Checkpoint()).ok());
+  StreamHub each = SmallHub(4);
+  for (size_t s = 0; s < kStreams; ++s) {
+    each.AddStream();
+    ASSERT_TRUE(each.RestoreStream(s, *narrow.CheckpointStream(s)).ok());
+  }
+  for (size_t s = 0; s < kStreams; ++s) {
+    EXPECT_EQ(*whole.CheckpointStream(s), *wide.CheckpointStream(s)) << s;
+    EXPECT_EQ(*each.CheckpointStream(s), *wide.CheckpointStream(s)) << s;
+  }
+
+  // Continued points stay bitwise equal.
+  std::vector<std::vector<StreamPoint>> out_wide(kStreams);
+  std::vector<std::vector<StreamPoint>> out_whole(kStreams);
+  for (size_t s = 0; s < kStreams; ++s) {
+    wide.SetCallback(s, [&out_wide](size_t id, const StreamPoint& pt) {
+      out_wide[id].push_back(pt);
+    });
+    whole.SetCallback(s, [&out_whole](size_t id, const StreamPoint& pt) {
+      out_whole[id].push_back(pt);
+    });
+  }
+  IngestChunk(wide, data, 240, 480);
+  IngestChunk(whole, data, 240, 480);
+  for (size_t s = 0; s < kStreams; ++s) {
+    ASSERT_EQ(out_wide[s].size(), out_whole[s].size());
+    for (size_t i = 0; i < out_wide[s].size(); ++i) {
+      ExpectPointsIdentical(out_wide[s][i], out_whole[s][i], i);
+    }
+    EXPECT_EQ(*whole.CheckpointStream(s), *wide.CheckpointStream(s)) << s;
+  }
+}
+
 TEST(StreamEngineSnapshotTest, EmptyEngineRoundTrips) {
   StreamHub hub = SmallHub(1);
   const auto blob = hub.Checkpoint();
