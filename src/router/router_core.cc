@@ -779,7 +779,8 @@ std::string RouterCore::Handle(const HttpRequest& request) {
       auto created =
           impl_->CreateStream(std::move(tenant), std::move(name));
       if (!created.ok()) {
-        return service::RenderStatusError(created.status());
+        return service::RenderCreateStreamError(
+            created.status(), impl_->draining.load(std::memory_order_relaxed));
       }
       return RenderHttpResponse(201, created->second);
     }

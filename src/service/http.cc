@@ -267,6 +267,11 @@ std::string RenderStatusError(const Status& status) {
   return RenderHttpError(code, status.message());
 }
 
+std::string RenderCreateStreamError(const Status& status, bool draining) {
+  return draining ? RenderHttpError(503, status.message())
+                  : RenderStatusError(status);
+}
+
 bool ParseStreamPath(std::string_view path, size_t* id,
                      std::string_view* suffix) {
   constexpr std::string_view kPrefix = "/v1/streams/";

@@ -98,6 +98,10 @@ std::string RenderStatusError(const Status& status);
 bool ParseStreamPath(std::string_view path, size_t* id,
                      std::string_view* suffix);
 
+/// The failed-POST /v1/streams reply of both daemons: 503 while draining
+/// (the client retries against another instance), else RenderStatusError.
+std::string RenderCreateStreamError(const Status& status, bool draining);
+
 /// `{"stream":<id>`, the opening of every per-stream body egid renders.
 std::string OpenStreamBody(size_t stream);
 

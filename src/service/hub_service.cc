@@ -693,11 +693,10 @@ std::string HubService::Handle(const HttpRequest& request) {
         return RenderHttpError(400, "body must carry a \"tenant\" field");
       }
       auto created = CreateStream(std::move(tenant), std::move(name));
-      if (!created.ok()) {
-        return draining() ? RenderHttpError(503, created.status().message())
-                          : RenderStatusError(created.status());
-      }
-      auto info = Describe(*created);
+      // A client may delete the new id before Describe runs.
+      auto info = created.ok() ? Describe(*created)
+                               : Result<StreamInfo>(created.status());
+      if (!info.ok()) return RenderCreateStreamError(info.status(), draining());
       return RenderHttpResponse(201, RenderStreamInfo(*info));
     }
     if (request.method == "GET") {

@@ -650,6 +650,39 @@ TEST_F(ServiceTest, ShutdownWritesFinalCheckpointAndDrains) {
   EXPECT_EQ(info->scored_total, series.size());
 }
 
+// Stream ids are dense, so a client can DELETE the id a concurrent POST is
+// about to return. The create reply must then be an error, never an abort.
+// (The window between CreateStream and Describe is a lock hand-off, so this
+// rarely lands in it; it guards the reply path, it cannot force the race.)
+TEST_F(ServiceTest, CreateRacingDeleteOfTheNewIdNeverAborts) {
+  auto service = MustCreate(SmallServiceOptions());
+  constexpr size_t kCreates = 500;
+  std::atomic<bool> done{false};
+  std::thread deleter([&] {
+    for (size_t id = 0; id < kCreates && !done.load();) {
+      if (service->DeleteStream(id).ok()) ++id;
+    }
+  });
+  HttpRequest create;
+  create.method = "POST";
+  create.path = "/v1/streams";
+  create.body = "{\"tenant\":\"t\"}";
+  size_t created = 0;
+  size_t lost = 0;
+  for (size_t i = 0; i < kCreates; ++i) {
+    const std::string resp = service->Handle(create);
+    if (resp.find("HTTP/1.1 201") != std::string::npos) {
+      ++created;
+    } else {
+      EXPECT_NE(resp.find("HTTP/1.1 404"), std::string::npos) << resp;
+      ++lost;
+    }
+  }
+  done = true;
+  deleter.join();
+  EXPECT_EQ(created + lost, kCreates);
+}
+
 size_t CountMappings() {
   std::ifstream maps("/proc/self/maps");
   size_t lines = 0;
