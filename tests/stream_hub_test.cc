@@ -1,6 +1,6 @@
 // Multi-stream serving through the public StreamHub: sharded ingest, callback
 // delivery, guarded checkpoints under live load, and per-stream checkpoint /
-// restore (the unit of shard migration). The StreamEngineTest suite name is
+// restore (the unit of shard migration). The StreamHubTest suite name is
 // kept from the internal class these cases covered before the hub took over
 // its streams, so the test ids stay stable.
 
@@ -101,7 +101,7 @@ void ExpectSameScores(const std::vector<std::vector<StreamPoint>>& a,
 // Sharding across the pool must not change any stream's output: results at
 // 2 and 4 threads are bitwise-identical to the single-threaded run, which
 // in turn matches a standalone StreamSession fed the same points.
-TEST(StreamEngineTest, PerStreamResultsIdenticalForEveryThreadCount) {
+TEST(StreamHubTest, PerStreamResultsIdenticalForEveryThreadCount) {
   const auto data = MakeStreams(5, 400);
   const auto serial = RunHub(data, 1);
 
@@ -121,7 +121,7 @@ TEST(StreamEngineTest, PerStreamResultsIdenticalForEveryThreadCount) {
   }
 }
 
-TEST(StreamEngineTest, CallbackSeesEveryPointInOrder) {
+TEST(StreamHubTest, CallbackSeesEveryPointInOrder) {
   const auto data = MakeStreams(3, 120);
   const auto observed = RunHub(data, 4, /*chunk=*/7);
   for (size_t s = 0; s < data.size(); ++s) {
@@ -133,7 +133,7 @@ TEST(StreamEngineTest, CallbackSeesEveryPointInOrder) {
   }
 }
 
-TEST(StreamEngineTest, SingleStreamIngestReturnsScores) {
+TEST(StreamHubTest, SingleStreamIngestReturnsScores) {
   StreamHub hub = SmallHub(1);
   const size_t id = hub.AddStream();
 
@@ -145,7 +145,7 @@ TEST(StreamEngineTest, SingleStreamIngestReturnsScores) {
   EXPECT_TRUE(hub.Stats(id).fitted);
 }
 
-TEST(StreamEngineTest, GuardedSaveAllBracketsEverySection) {
+TEST(StreamHubTest, GuardedSaveAllBracketsEverySection) {
   StreamHub hub = SmallHub(1);
   const auto data = MakeStreams(3, 100);
   for (size_t s = 0; s < data.size(); ++s) {
@@ -167,7 +167,7 @@ TEST(StreamEngineTest, GuardedSaveAllBracketsEverySection) {
   EXPECT_EQ(blob, hub.Checkpoint());
 }
 
-TEST(StreamEngineTest, CheckpointUnderLoadCapturesConsistentSections) {
+TEST(StreamHubTest, CheckpointUnderLoadCapturesConsistentSections) {
   // The daemon's checkpoint-under-load pattern: one thread keeps ingesting
   // (under per-stream locks), another runs Checkpoint with a guard taking
   // the same locks. Every captured section must be a consistent
@@ -243,7 +243,7 @@ TEST(StreamEngineTest, CheckpointUnderLoadCapturesConsistentSections) {
 // Per-stream checkpoint (the unit of shard migration) must be byte-identical
 // to the stream's section inside a whole-hub checkpoint — one format, two
 // granularities.
-TEST(StreamEngineTest, SaveStreamMatchesEngineBlobSection) {
+TEST(StreamHubTest, SaveStreamMatchesEngineBlobSection) {
   StreamHub hub = SmallHub(1);
   const auto data = MakeStreams(3, 150);
   for (size_t s = 0; s < data.size(); ++s) {
@@ -271,7 +271,7 @@ TEST(StreamEngineTest, SaveStreamMatchesEngineBlobSection) {
 
 // A stream moved between hubs via CheckpointStream/RestoreStream continues
 // scoring bitwise-identically to one that never moved.
-TEST(StreamEngineTest, SaveLoadStreamContinuesBitwiseIdentically) {
+TEST(StreamHubTest, SaveLoadStreamContinuesBitwiseIdentically) {
   const auto data = MakeStreams(1, 300);
   const std::span<const double> first(data[0].data(), 170);
   const std::span<const double> rest(data[0].data() + 170, 130);

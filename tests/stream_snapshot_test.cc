@@ -280,15 +280,15 @@ void RunEngineCheckpointCase(int threads) {
   }
 }
 
-TEST(StreamEngineSnapshotTest, CheckpointRestoreContinuationOneThread) {
+TEST(StreamHubSnapshotTest, CheckpointRestoreContinuationOneThread) {
   RunEngineCheckpointCase(1);
 }
 
-TEST(StreamEngineSnapshotTest, CheckpointRestoreContinuationFourThreads) {
+TEST(StreamHubSnapshotTest, CheckpointRestoreContinuationFourThreads) {
   RunEngineCheckpointCase(4);
 }
 
-TEST(StreamEngineSnapshotTest, CheckpointIsThreadCountInvariant) {
+TEST(StreamHubSnapshotTest, CheckpointIsThreadCountInvariant) {
   // The pool width must not change what a checkpoint captures. The spec's
   // `threads` value is itself part of every stream's serialized options, so
   // across thread counts the sections must decode to identical detector
@@ -321,7 +321,7 @@ TEST(StreamEngineSnapshotTest, CheckpointIsThreadCountInvariant) {
   }
 }
 
-TEST(StreamEngineSnapshotTest, RestoredStreamsRefitAtTheRestoringHubsWidth) {
+TEST(StreamHubSnapshotTest, RestoredStreamsRefitAtTheRestoringHubsWidth) {
   // A snapshot records its writer's `threads`; a hub restoring it installs
   // its own, so a threads=1 checkpoint restored into a threads=4 hub
   // re-serializes exactly like a threads=4 hub fed the same points.
@@ -371,7 +371,7 @@ TEST(StreamEngineSnapshotTest, RestoredStreamsRefitAtTheRestoringHubsWidth) {
   }
 }
 
-TEST(StreamEngineSnapshotTest, EmptyEngineRoundTrips) {
+TEST(StreamHubSnapshotTest, EmptyEngineRoundTrips) {
   StreamHub hub = SmallHub(1);
   const auto blob = hub.Checkpoint();
   StreamHub other = SmallHub(1);
@@ -380,7 +380,7 @@ TEST(StreamEngineSnapshotTest, EmptyEngineRoundTrips) {
   EXPECT_EQ(other.num_streams(), 0u);
 }
 
-TEST(StreamEngineSnapshotTest, LoadAllIsAllOrNothing) {
+TEST(StreamHubSnapshotTest, LoadAllIsAllOrNothing) {
   StreamHub hub = SmallHub(1);
   hub.AddStream();
   hub.AddStream();
@@ -399,7 +399,7 @@ TEST(StreamEngineSnapshotTest, LoadAllIsAllOrNothing) {
   EXPECT_EQ(target.Stats(0).total_appended, before);
 }
 
-TEST(StreamEngineSnapshotTest, RejectsDetectorBlobAsEngineCheckpoint) {
+TEST(StreamHubSnapshotTest, RejectsDetectorBlobAsEngineCheckpoint) {
   StreamDetector detector(SmallOptions());
   const auto blob = detector.Serialize();
   StreamHub hub = SmallHub(1);
