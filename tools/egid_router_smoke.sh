@@ -61,6 +61,16 @@ kill_all() {
 [[ -x $ROUTER ]] || { echo "FAIL: egid_router binary not found at $ROUTER" >&2; exit 1; }
 [[ -x $LOADGEN ]] || { echo "FAIL: loadgen binary not found at $LOADGEN" >&2; exit 1; }
 
+# CLI contract: --help and a missing --shards both exit 2 with the usage.
+"$ROUTER" --help >/dev/null 2>"$WORK/cli.err"
+RC=$?
+[[ $RC -eq 2 ]] || fail "egid_router --help exited $RC, want 2"
+grep -q '^usage: egid_router ' "$WORK/cli.err" \
+  || fail "egid_router --help printed no usage"
+env -u EGID_ROUTER_SHARDS "$ROUTER" >/dev/null 2>"$WORK/cli.err"
+RC=$?
+[[ $RC -eq 2 ]] || fail "egid_router without --shards exited $RC, want 2"
+
 # wait_banner LABEL LOG PID PATTERN — fail fast with the process's captured
 # stderr if it dies or never prints its ready banner.
 wait_banner() {
@@ -88,6 +98,8 @@ start_shard() {
           "$@" >"$log" 2>&1 &
   SHARD_PID[$idx]=$!
   wait_banner "shard $idx" "$log" "${SHARD_PID[$idx]}" '^egid ready'
+  grep -Eq '^egid ready http=[0-9]+ ingest=[0-9]+ streams=[0-9]+$' "$log" \
+    || fail "unexpected shard $idx ready banner: $(grep ready "$log")"
   SHARD_HTTP[$idx]=$(sed -n 's/^egid ready http=\([0-9]*\).*/\1/p' "$log" | tail -1)
   SHARD_INGEST[$idx]=$(sed -n 's/.*ingest=\([0-9]*\).*/\1/p' "$log" | tail -1)
   [[ -n ${SHARD_HTTP[$idx]} && -n ${SHARD_INGEST[$idx]} ]] \
@@ -103,6 +115,9 @@ start_router() {  # start_router SHARDS_CSV
             --acquire-timeout=2 >"$WORK/router.log" 2>&1 &
   ROUTER_PID=$!
   wait_banner "egid-router" "$WORK/router.log" "$ROUTER_PID" '^egid-router ready'
+  # The banner CI's sed and perfbench/src/proc.cc parse.
+  grep -Eq '^egid-router ready http=[0-9]+ ingest=[0-9]+ shards=[0-9]+$' "$WORK/router.log" \
+    || fail "unexpected router ready banner: $(grep ready "$WORK/router.log")"
   ROUTER_HTTP=$(sed -n 's/^egid-router ready http=\([0-9]*\).*/\1/p' "$WORK/router.log" | tail -1)
   ROUTER_INGEST=$(sed -n 's/.*ingest=\([0-9]*\).*/\1/p' "$WORK/router.log" | tail -1)
   [[ -n $ROUTER_HTTP && -n $ROUTER_INGEST ]] || fail "could not parse router ports"

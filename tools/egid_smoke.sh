@@ -34,6 +34,18 @@ fail() {
 [[ -x $EGID ]] || fail "egid binary not found at $EGID"
 [[ -x $LOADGEN ]] || fail "loadgen binary not found at $LOADGEN"
 
+# CLI contract: --help exits 2 with the usage text, a bad option value
+# exits 1 with an "egid:" diagnostic.
+"$EGID" --help >/dev/null 2>"$WORK/cli.err"
+RC=$?
+[[ $RC -eq 2 ]] || fail "egid --help exited $RC, want 2"
+grep -q '^usage: egid ' "$WORK/cli.err" || fail "egid --help printed no usage"
+"$EGID" --spec=nope >/dev/null 2>"$WORK/cli.err"
+RC=$?
+[[ $RC -eq 1 ]] || fail "egid --spec=nope exited $RC, want 1"
+[[ $(head -c 5 "$WORK/cli.err") == "egid:" ]] \
+  || fail "egid --spec=nope stderr does not start with 'egid:': $(cat "$WORK/cli.err")"
+
 # Launch and parse the ready banner for the ephemeral ports.
 start_egid() {
   "$EGID" --window=16 --buffer=256 --refit-interval=64 --workers=2 \
@@ -49,6 +61,9 @@ start_egid() {
   # downstream curl error would hide what the daemon was stuck on.
   grep -q '^egid ready' "$LOG" \
     || fail "egid (pid $EGID_PID) did not print its ready banner within 10s; its captured output follows"
+  # The banner CI's sed and perfbench/src/proc.cc parse.
+  grep -Eq '^egid ready http=[0-9]+ ingest=[0-9]+ streams=[0-9]+$' "$LOG" \
+    || fail "unexpected ready banner: $(grep ready "$LOG")"
   HTTP_PORT=$(sed -n 's/^egid ready http=\([0-9]*\).*/\1/p' "$LOG" | tail -1)
   INGEST_PORT=$(sed -n 's/.*ingest=\([0-9]*\).*/\1/p' "$LOG" | tail -1)
   [[ -n $HTTP_PORT && -n $INGEST_PORT ]] || fail "could not parse ports"
