@@ -109,7 +109,7 @@ struct HubService::Impl {
   bool shut_down = false;
   std::mutex shutdown_mu;
 
-  // --- helpers (definitions below) ---
+  // --- helpers ---
   // A stream id that names a live (created, not deleted) stream; callers
   // hold the structural lock.
   bool Live(size_t id) const {
@@ -715,9 +715,7 @@ std::string HubService::Handle(const HttpRequest& request) {
     if (suffix == "/checkpoint") {
       if (request.method == "GET") {
         auto blob = ExportStreamCheckpoint(id);
-        if (!blob.ok()) {
-          return RenderStatusError(blob.status());
-        }
+        if (!blob.ok()) return RenderStatusError(blob.status());
         return RenderHttpResponse(
             200,
             std::string_view(reinterpret_cast<const char*>(blob->data()),
@@ -729,9 +727,7 @@ std::string HubService::Handle(const HttpRequest& request) {
             id, std::span<const uint8_t>(
                     reinterpret_cast<const uint8_t*>(request.body.data()),
                     request.body.size()));
-        if (!status.ok()) {
-          return RenderStatusError(status);
-        }
+        if (!status.ok()) return RenderStatusError(status);
         return RenderHttpResponse(200,
                                   OpenStreamBody(id) + ",\"imported\":true}");
       }
@@ -742,9 +738,7 @@ std::string HubService::Handle(const HttpRequest& request) {
     }
     if (request.method == "GET") {
       auto info = Describe(id);
-      if (!info.ok()) {
-        return RenderStatusError(info.status());
-      }
+      if (!info.ok()) return RenderStatusError(info.status());
       std::string body = RenderStreamInfo(*info);
       const long tail = request.QueryInt("tail", 0);
       if (tail > 0) {
@@ -763,9 +757,7 @@ std::string HubService::Handle(const HttpRequest& request) {
     }
     if (request.method == "DELETE") {
       const Status status = DeleteStream(id);
-      if (!status.ok()) {
-        return RenderStatusError(status);
-      }
+      if (!status.ok()) return RenderStatusError(status);
       return RenderHttpResponse(200,
                                 OpenStreamBody(id) + ",\"deleted\":true}");
     }
@@ -779,9 +771,7 @@ std::string HubService::Handle(const HttpRequest& request) {
   if (request.path == "/v1/checkpoint") {
     if (request.method != "POST") return RenderHttpError(405, "use POST");
     const Status status = CheckpointNow();
-    if (!status.ok()) {
-      return RenderStatusError(status);
-    }
+    if (!status.ok()) return RenderStatusError(status);
     return RenderHttpResponse(
         200, "{\"checkpoint\":" + JsonQuote(impl_->options.checkpoint_path) +
                  ",\"bytes\":" +
