@@ -1,55 +1,44 @@
-// loadgen — sustained-load client for the egid daemon (tools/egid_main.cc)
-// and the egid-router front door (tools/egid_router_main.cc).
+// loadgen — the smoke scripts' load driver for the egid daemon
+// (tools/egid_main.cc) and the egid-router front door
+// (tools/egid_router_main.cc); both speak the same two planes.
 //
-// Creates `--streams` detection streams over the HTTP control plane, then
-// drives the binary ingest plane from `--conns` connection threads, each
-// multiplexing its shard of streams: per round a thread pipelines one
-// `--batch`-point frame per stream onto its connection and then collects
-// the (in-order) acks, recording one send-to-ack RTT per frame. Reports
-// sustained points/sec and frame RTT percentiles — the numbers the
-// "millions of streams" direction is steered by — as one JSON-lines record
-// (BENCH_service.json / BENCH_router.json in CI) in --json mode:
+// Each of `--conns` connection threads creates its slice of `--streams`
+// detection streams over the HTTP control plane, then sends `--rounds`
+// passes of one `--batch`-point ingest frame per stream, waiting for each
+// frame's ack. It prints one line of counts:
 //
 //   ./build/egid --window=16 --buffer=256 &   # prints its ports
 //   ./build/loadgen --http-port=P --ingest-port=Q \
-//       --streams=10000 --conns=8 --batch=20 --rounds=10 --json
+//       --streams=50 --conns=4 --batch=20 --rounds=3
+//   {"frames":150,"points_accepted":3000,"rejects":0,"transport_error":false}
 //
-// `--targets=host:HTTP:INGEST[,...]` generalizes the port pair: streams and
-// connections are split across the listed targets (one router, or several
-// daemons side by side for A/B baselines). Every ingest connection opens
-// with the protocol-version hello handshake, so a version-skewed server
-// fails loudly before any data frame.
-//
-// Rejects (rate-limit / queue-full backpressure) are counted, not retried —
-// the report shows how much of the offered load the server admitted — and
-// any reject or transport error makes the exit status nonzero, so smoke
-// scripts can assert "this phase must lose nothing" with `|| exit`.
+// The client is the router's own shard channel (router::TcpChannelFactory):
+// the hello handshake, response parsing and deadlines are the router's.
+// Rejects (rate-limit / queue-full backpressure, a dead shard behind the
+// router) are counted, not retried, and any reject or transport error makes
+// the exit status nonzero, so a smoke phase that must lose nothing asserts
+// it with `|| fail`.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
-#include "router/shard_map.h"
+#include "router/shard_channel.h"
 #include "service/frame.h"
+#include "service/http.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace egi::bench {
 namespace {
+
+// Per-operation deadline. Long enough for a frame the router holds while
+// its stream migrates; a hung server still fails the run.
+constexpr double kTimeoutSeconds = 30.0;
 
 int64_t FlagInt(int argc, char** argv, const char* name, int64_t fallback) {
   const size_t len = std::strlen(name);
@@ -63,378 +52,101 @@ int64_t FlagInt(int argc, char** argv, const char* name, int64_t fallback) {
   return fallback;
 }
 
-const char* FlagStr(int argc, char** argv, const char* name,
-                    const char* fallback) {
-  const size_t len = std::strlen(name);
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) == 0 &&
-        std::strncmp(arg + 2, name, len) == 0 && arg[2 + len] == '=') {
-      return arg + 2 + len + 1;
-    }
-  }
-  return fallback;
-}
-
-int Connect(const std::string& host, int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
-bool WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Minimal HTTP/1.1 client call on a persistent connection: sends `request`
-/// and reads one Content-Length-framed response, returning the status code
-/// (or -1 on transport error).
-int HttpCall(int fd, const std::string& request, std::string* body) {
-  if (!WriteAll(fd, reinterpret_cast<const uint8_t*>(request.data()),
-                request.size())) {
-    return -1;
-  }
-  std::string buffer;
-  char chunk[8192];
-  size_t header_end = std::string::npos;
-  while (header_end == std::string::npos) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return -1;
-    buffer.append(chunk, static_cast<size_t>(n));
-    header_end = buffer.find("\r\n\r\n");
-  }
-  int status = -1;
-  if (std::sscanf(buffer.c_str(), "HTTP/1.1 %d", &status) != 1) return -1;
-  size_t content_length = 0;
-  const size_t cl = buffer.find("Content-Length:");
-  if (cl != std::string::npos && cl < header_end) {
-    content_length = static_cast<size_t>(
-        std::strtoull(buffer.c_str() + cl + 15, nullptr, 10));
-  }
-  const size_t body_start = header_end + 4;
-  while (buffer.size() < body_start + content_length) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return -1;
-    buffer.append(chunk, static_cast<size_t>(n));
-  }
-  if (body != nullptr) *body = buffer.substr(body_start, content_length);
-  return status;
-}
-
-struct ShardResult {
+struct Counts {
   uint64_t frames = 0;
   uint64_t points_accepted = 0;
   uint64_t rejects = 0;
-  std::vector<double> rtt_seconds;
   bool transport_error = false;
 };
 
-/// Version handshake: one hello frame, one helloack back. Anything else
-/// (a typed reject, a version skew, a short read) is a transport error —
-/// the connection is useless for data.
-bool Handshake(int fd) {
-  std::vector<uint8_t> out;
-  service::EncodeHelloFrame(service::kProtocolVersion, &out);
-  if (!WriteAll(fd, out.data(), out.size())) return false;
-  std::vector<uint8_t> in;
-  uint8_t chunk[256];
-  while (true) {
-    service::IngestResponse resp;
-    size_t consumed = 0;
-    const service::FrameParseResult parsed = service::DecodeResponseFrame(
-        std::span<const uint8_t>(in), &resp, &consumed);
-    if (parsed == service::FrameParseResult::kMalformed) return false;
-    if (parsed == service::FrameParseResult::kComplete) {
-      return resp.type == service::FrameType::kHelloAck &&
-             resp.protocol_version == service::kProtocolVersion;
+/// One connection thread: creates streams [begin, end), then `rounds`
+/// passes of one frame per stream.
+void Drive(const router::ShardEndpoint& target, size_t begin, size_t end,
+           int rounds, int batch, uint64_t seed, Counts* counts) {
+  const auto channel = router::TcpChannelFactory(kTimeoutSeconds)(target);
+  std::vector<uint64_t> ids;
+  for (size_t s = begin; s < end; ++s) {
+    auto reply = channel->Http(
+        "POST", "/v1/streams",
+        service::RenderCreateStreamBody("loadgen", "s" + std::to_string(s)),
+        "application/json");
+    uint64_t id = 0;
+    if (!reply.ok() || reply->status != 201 ||
+        !JsonFindUInt(reply->body, "stream", &id)) {
+      std::fprintf(stderr, "loadgen: stream create %zu failed: %s\n", s,
+                   reply.ok() ? reply->body.c_str()
+                              : reply.status().ToString().c_str());
+      counts->transport_error = true;
+      return;
     }
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) return false;
-    in.insert(in.end(), chunk, chunk + n);
-  }
-}
-
-/// One connection thread: `rounds` passes over [first, first+count) stream
-/// ids, each pass pipelining one frame per stream then draining the acks.
-void RunShard(const std::string& host, int ingest_port, size_t first,
-              size_t count, int rounds, int batch, uint64_t seed,
-              ShardResult* result) {
-  const int fd = Connect(host, ingest_port);
-  if (fd < 0 || !Handshake(fd)) {
-    result->transport_error = true;
-    if (fd >= 0) ::close(fd);
-    return;
+    ids.push_back(id);
   }
   Rng rng(seed);
   std::vector<double> values(static_cast<size_t>(batch));
-  std::vector<uint8_t> out;
-  std::vector<uint8_t> in;
-  std::vector<std::chrono::steady_clock::time_point> sent;
-  result->rtt_seconds.reserve(static_cast<size_t>(rounds) * count);
-  uint8_t chunk[64 * 1024];
-
   for (int round = 0; round < rounds; ++round) {
-    out.clear();
-    sent.clear();
-    // Pipeline the whole shard: frames are answered in order, so the k-th
-    // response matches the k-th frame sent on this connection.
-    for (size_t s = 0; s < count; ++s) {
+    for (const uint64_t id : ids) {
       for (double& v : values) v = rng.UniformDouble();
-      out.clear();
-      service::EncodeIngestFrame(first + s, values, &out);
-      sent.push_back(std::chrono::steady_clock::now());
-      if (!WriteAll(fd, out.data(), out.size())) {
-        result->transport_error = true;
-        ::close(fd);
+      auto reply = channel->Ingest(id, values);
+      if (!reply.ok()) {
+        std::fprintf(stderr, "loadgen: ingest failed: %s\n",
+                     reply.status().ToString().c_str());
+        counts->transport_error = true;
         return;
       }
-    }
-    size_t answered = 0;
-    in.clear();
-    while (answered < count) {
-      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-      if (n <= 0) {
-        result->transport_error = true;
-        ::close(fd);
-        return;
+      counts->frames += 1;
+      if (reply->type == service::FrameType::kAck) {
+        counts->points_accepted += static_cast<uint64_t>(batch);
+      } else {
+        counts->rejects += 1;
       }
-      in.insert(in.end(), chunk, chunk + n);
-      size_t offset = 0;
-      service::IngestResponse resp;
-      size_t consumed = 0;
-      while (answered < count &&
-             service::DecodeResponseFrame(
-                 std::span<const uint8_t>(in).subspan(offset), &resp,
-                 &consumed) == service::FrameParseResult::kComplete) {
-        offset += consumed;
-        const auto now = std::chrono::steady_clock::now();
-        result->rtt_seconds.push_back(
-            std::chrono::duration<double>(now - sent[answered]).count());
-        result->frames += 1;
-        if (resp.type == service::FrameType::kAck) {
-          result->points_accepted += static_cast<uint64_t>(batch);
-        } else {
-          result->rejects += 1;
-        }
-        ++answered;
-      }
-      in.erase(in.begin(), in.begin() + static_cast<ptrdiff_t>(offset));
     }
   }
-  ::close(fd);
-}
-
-double Percentile(std::vector<double>* values, double q) {
-  if (values->empty()) return 0.0;
-  const size_t rank = std::min(
-      values->size() - 1,
-      static_cast<size_t>(q * static_cast<double>(values->size())));
-  std::nth_element(values->begin(),
-                   values->begin() + static_cast<ptrdiff_t>(rank),
-                   values->end());
-  return (*values)[rank];
 }
 
 int Run(int argc, char** argv) {
-  const bool json = JsonOutputEnabled(argc, argv);
-  const bool quick = SettingsFromEnv().quick;
-  const int http_port =
-      static_cast<int>(FlagInt(argc, argv, "http-port", 0));
-  const int ingest_port =
-      static_cast<int>(FlagInt(argc, argv, "ingest-port", 0));
-  const char* targets_flag = FlagStr(argc, argv, "targets", nullptr);
-  const std::string record_name =
-      FlagStr(argc, argv, "name", "service_loadgen");
-  const size_t streams = static_cast<size_t>(
-      FlagInt(argc, argv, "streams", quick ? 1000 : 10000));
-  size_t conns = static_cast<size_t>(FlagInt(argc, argv, "conns", 8));
-  const int batch = static_cast<int>(FlagInt(argc, argv, "batch", 20));
-  const int rounds =
-      static_cast<int>(FlagInt(argc, argv, "rounds", quick ? 5 : 10));
-
-  // One router (or daemon) via --targets, or the classic localhost port
-  // pair; either way the load below only sees a target list.
-  std::vector<router::ShardEndpoint> targets;
-  if (targets_flag != nullptr) {
-    auto parsed = router::ParseEndpointList(targets_flag);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "loadgen: %s\n",
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    targets = std::move(*parsed);
-  } else if (http_port > 0 && ingest_port > 0) {
-    targets.push_back({"127.0.0.1", http_port, ingest_port});
-  }
-  if (targets.empty() || streams < targets.size() || conns == 0 ||
-      batch <= 0 || rounds <= 0) {
-    std::fprintf(
-        stderr,
-        "usage: loadgen (--http-port=P --ingest-port=Q | "
-        "--targets=HOST:P:Q[,...])\n               [--streams=N] "
-        "[--conns=C] [--batch=B] [--rounds=R]\n               "
-        "[--name=RECORD] [--json]\n(ports are what the egid/egid_router "
-        "banner printed at startup)\n");
+  const router::ShardEndpoint target{
+      "127.0.0.1", static_cast<int>(FlagInt(argc, argv, "http-port", 0)),
+      static_cast<int>(FlagInt(argc, argv, "ingest-port", 0))};
+  const int64_t streams = FlagInt(argc, argv, "streams", 100);
+  const int64_t conns = FlagInt(argc, argv, "conns", 4);
+  const int64_t batch = FlagInt(argc, argv, "batch", 20);
+  const int64_t rounds = FlagInt(argc, argv, "rounds", 3);
+  if (target.http_port <= 0 || target.ingest_port <= 0 || streams <= 0 ||
+      conns <= 0 || batch <= 0 || rounds <= 0) {
+    std::fprintf(stderr,
+                 "usage: loadgen --http-port=P --ingest-port=Q [--streams=N] "
+                 "[--conns=C] [--batch=B] [--rounds=R]\n(ports are what the "
+                 "egid/egid_router banner printed at startup)\n");
     return 2;
   }
-  const size_t num_targets = targets.size();
-  conns = std::max(conns, num_targets);  // every target gets >= 1 conn
 
-  // Control plane: create each target's share of the streams up front on
-  // one keep-alive connection per target (server ids are dense, so the
-  // first id plus the count describes the whole share).
-  struct TargetShare {
-    size_t begin = 0;        // global stream index of the share
-    size_t count = 0;
-    size_t first_stream = 0; // the server's id for the share's first stream
-  };
-  std::vector<TargetShare> shares(num_targets);
-  const auto started_setup = std::chrono::steady_clock::now();
-  for (size_t t = 0; t < num_targets; ++t) {
-    TargetShare& share = shares[t];
-    share.begin = streams * t / num_targets;
-    share.count = streams * (t + 1) / num_targets - share.begin;
-    const int http_fd = Connect(targets[t].host, targets[t].http_port);
-    if (http_fd < 0) {
-      std::fprintf(stderr, "loadgen: cannot connect to %s:%d\n",
-                   targets[t].host.c_str(), targets[t].http_port);
-      return 1;
-    }
-    for (size_t s = 0; s < share.count; ++s) {
-      const std::string body = "{\"tenant\":\"loadgen\",\"name\":\"s" +
-                               std::to_string(share.begin + s) + "\"}";
-      const std::string request =
-          "POST /v1/streams HTTP/1.1\r\nHost: localhost\r\n"
-          "Content-Type: application/json\r\nContent-Length: " +
-          std::to_string(body.size()) + "\r\n\r\n" + body;
-      std::string response;
-      const int status = HttpCall(http_fd, request, &response);
-      if (status != 201) {
-        std::fprintf(stderr,
-                     "loadgen: stream create %zu on %s:%d failed "
-                     "(HTTP %d): %s\n",
-                     share.begin + s, targets[t].host.c_str(),
-                     targets[t].http_port, status, response.c_str());
-        ::close(http_fd);
-        return 1;
-      }
-      if (s == 0) {
-        const size_t pos = response.find("\"stream\":");
-        share.first_stream =
-            pos == std::string::npos
-                ? 0
-                : static_cast<size_t>(std::strtoull(
-                      response.c_str() + pos + 9, nullptr, 10));
-      }
-    }
-    ::close(http_fd);
-  }
-  const double setup_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started_setup)
-          .count();
-
-  // Data plane: give each target its proportional slice of the connection
-  // threads, and slice the target's streams across those connections.
-  std::vector<ShardResult> results(conns);
+  std::vector<Counts> counts(static_cast<size_t>(conns));
   std::vector<std::thread> threads;
-  const auto started = std::chrono::steady_clock::now();
-  size_t conn_index = 0;
-  for (size_t t = 0; t < num_targets; ++t) {
-    const size_t conn_begin = conns * t / num_targets;
-    const size_t conn_end = conns * (t + 1) / num_targets;
-    const size_t target_conns = conn_end - conn_begin;
-    for (size_t c = 0; c < target_conns; ++c) {
-      const size_t begin = shares[t].count * c / target_conns;
-      const size_t end = shares[t].count * (c + 1) / target_conns;
-      threads.emplace_back(RunShard, targets[t].host,
-                           targets[t].ingest_port,
-                           shares[t].first_stream + begin, end - begin,
-                           rounds, batch, 7000 + conn_index,
-                           &results[conn_index]);
-      ++conn_index;
-    }
+  for (int64_t c = 0; c < conns; ++c) {
+    threads.emplace_back(Drive, target,
+                         static_cast<size_t>(streams * c / conns),
+                         static_cast<size_t>(streams * (c + 1) / conns),
+                         static_cast<int>(rounds), static_cast<int>(batch),
+                         7000 + static_cast<uint64_t>(c),
+                         &counts[static_cast<size_t>(c)]);
   }
   for (std::thread& t : threads) t.join();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
 
-  uint64_t frames = 0;
-  uint64_t points = 0;
-  uint64_t rejects = 0;
-  bool transport_error = false;
-  std::vector<double> rtts;
-  for (ShardResult& r : results) {
-    frames += r.frames;
-    points += r.points_accepted;
-    rejects += r.rejects;
-    transport_error = transport_error || r.transport_error;
-    rtts.insert(rtts.end(), r.rtt_seconds.begin(), r.rtt_seconds.end());
+  Counts total;
+  for (const Counts& c : counts) {
+    total.frames += c.frames;
+    total.points_accepted += c.points_accepted;
+    total.rejects += c.rejects;
+    total.transport_error = total.transport_error || c.transport_error;
   }
-  const double points_per_sec =
-      seconds > 0.0 ? static_cast<double>(points) / seconds : 0.0;
-  const double p50_ms = Percentile(&rtts, 0.50) * 1e3;
-  const double p99_ms = Percentile(&rtts, 0.99) * 1e3;
-
-  if (json) {
-    JsonRecord(record_name)
-        .Add("streams", static_cast<uint64_t>(streams))
-        .Add("targets", static_cast<uint64_t>(num_targets))
-        .Add("conns", static_cast<uint64_t>(conns))
-        .Add("batch", batch)
-        .Add("rounds", rounds)
-        .Add("frames", frames)
-        .Add("points_accepted", points)
-        .Add("rejects", rejects)
-        .Add("setup_seconds", setup_seconds)
-        .Add("ingest_seconds", seconds)
-        .Add("points_per_sec", points_per_sec)
-        .Add("frame_rtt_p50_ms", p50_ms)
-        .Add("frame_rtt_p99_ms", p99_ms)
-        .Add("transport_error", transport_error)
-        .Emit(std::cout);
-  } else {
-    std::printf(
-        "loadgen: %zu streams x %d rounds x %d-point frames over %zu "
-        "connections\n  setup   %.2fs (stream creation)\n  ingest  %.2fs — "
-        "%.0f points/sec, %llu frames, %llu rejects\n  rtt     p50 %.3f ms, "
-        "p99 %.3f ms\n",
-        streams, rounds, batch, conns, setup_seconds, seconds,
-        points_per_sec, static_cast<unsigned long long>(frames),
-        static_cast<unsigned long long>(rejects), p50_ms, p99_ms);
-  }
-  // Nonzero exit on ANY lost load: smoke phases that must be lossless
-  // (e.g. a live reshard under load) assert on the exit status directly.
-  return (transport_error || rejects > 0) ? 1 : 0;
+  std::printf("{\"frames\":%" PRIu64 ",\"points_accepted\":%" PRIu64
+              ",\"rejects\":%" PRIu64 ",\"transport_error\":%s}\n",
+              total.frames, total.points_accepted, total.rejects,
+              total.transport_error ? "true" : "false");
+  return (total.transport_error || total.rejects > 0) ? 1 : 0;
 }
 
 }  // namespace
 }  // namespace egi::bench
 
-int main(int argc, char** argv) {
-  if (egi::bench::HandleStandardFlags(argc, argv)) return 0;
-  return egi::bench::Run(argc, argv);
-}
+int main(int argc, char** argv) { return egi::bench::Run(argc, argv); }

@@ -107,8 +107,8 @@ struct RouterCore::Impl {
   void ProbeLoop();
 
   // ---- streams ----
-  Result<std::pair<size_t, std::string>> CreateStream(std::string tenant,
-                                                      std::string name);
+  // The rendered reply to a POST /v1/streams carrying `body`.
+  std::string CreateStream(std::string_view body);
   bool MigrateStream(StreamRoute* route, size_t target_index);
 
   // GET `path` on every active shard, in map order: one JSON section per
@@ -338,11 +338,24 @@ Status RouterCore::Shutdown() {
 
 // ----------------------------------------------------------------- streams
 
-Result<std::pair<size_t, std::string>> RouterCore::Impl::CreateStream(
-    std::string tenant, std::string name) {
+std::string RouterCore::Impl::CreateStream(std::string_view body) {
   static auto* created = Telemetry().GetCounter("router.streams_created");
+  std::string tenant;
+  std::string name;
+  if (!service::ParseCreateStreamBody(body, &tenant, &name)) {
+    return service::RenderHttpError(400, "body must carry a \"tenant\" field");
+  }
+  const auto fail = [this](const Status& status) {
+    return service::RenderCreateStreamError(
+        status, draining.load(std::memory_order_relaxed));
+  };
   if (draining.load(std::memory_order_relaxed)) {
-    return Status::FailedPrecondition("router is draining");
+    return fail(Status::FailedPrecondition("router is draining"));
+  }
+  // Checked here, before a gid exists, so a bad label burns none.
+  if (Status status = service::ValidateStreamLabels(tenant, name);
+      !status.ok()) {
+    return fail(status);
   }
   StreamRoute* route = nullptr;
   size_t backend_index = 0;
@@ -371,24 +384,30 @@ Result<std::pair<size_t, std::string>> RouterCore::Impl::CreateStream(
       route->local_id = local_id;
       route->ready = true;
     } else {
-      route->deleted = true;  // the gid is burned; ids stay dense
+      // The gid stays burned: the jump hash placed this stream by it, and
+      // later creates may already hold the gids after it.
+      route->deleted = true;
     }
     route->migrating = false;
     route->cv.notify_all();
   }
+  if (!reply.ok()) {
+    return fail(Status::Internal("shard create failed: " +
+                                 reply.status().message()));
+  }
   if (!ok) {
-    if (!reply.ok()) {
-      return Status::Internal("shard create failed: " +
-                              reply.status().message());
+    // A client error the shard found (a tenant quota) is the client's to
+    // see as the shard said it.
+    if (reply->status >= 400 && reply->status < 500) {
+      return service::RenderHttpResponse(reply->status, reply->body);
     }
-    return Status::Internal("shard create failed (HTTP " +
-                            std::to_string(reply->status) + "): " +
-                            reply->body);
+    return fail(Status::Internal("shard create failed (HTTP " +
+                                 std::to_string(reply->status) +
+                                 "): " + reply->body));
   }
   created->Add(1);
-  return std::make_pair(route->gid,
-                        service::RebaseStreamBody(reply->body, route->gid,
-                                                  backend_index));
+  return service::RenderHttpResponse(
+      201, service::RebaseStreamBody(reply->body, route->gid, backend_index));
 }
 
 bool RouterCore::Impl::MigrateStream(StreamRoute* route,
@@ -617,6 +636,15 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
   static const IngestCounters counters("router");
   static auto* forwarded =
       Telemetry().GetCounter("router.points_forwarded");
+  // Why a frame met kUnavailable, one counter per site, resolved once.
+  static auto* site_migrate_wait =
+      Telemetry().GetCounter("router.reject_site.migrate_wait");
+  static auto* site_unhealthy =
+      Telemetry().GetCounter("router.reject_site.unhealthy");
+  static auto* site_pool_exhausted =
+      Telemetry().GetCounter("router.reject_site.pool_exhausted");
+  static auto* site_transport =
+      Telemetry().GetCounter("router.reject_site.transport");
   IngestResponse resp;
   if (service::AdmitFrame(request,
                           impl_->draining.load(std::memory_order_relaxed),
@@ -626,8 +654,8 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
   const auto reject = [&](RejectReason reason) {
     return counters.Reject(request.stream, reason);
   };
-  const auto unavailable = [&](const char* site) {
-    Telemetry().GetCounter(std::string("router.reject_site.") + site)->Add(1);
+  const auto unavailable = [&](telemetry::Counter* site) {
+    site->Add(1);
     return reject(RejectReason::kUnavailable);
   };
 
@@ -648,7 +676,7 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
                                impl_->options.migrate_timeout_seconds);
     if (!route->cv.wait_until(lock, deadline,
                               [&] { return !route->migrating; })) {
-      return unavailable("migrate_wait");
+      return unavailable(site_migrate_wait);
     }
     if (route->deleted) return reject(RejectReason::kUnknownStream);
     backend_index = route->backend;
@@ -666,11 +694,11 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
 
   Impl::Backend& backend = *impl_->BackendAt(backend_index);
   if (!backend.healthy.load(std::memory_order_relaxed)) {
-    return unavailable("unhealthy");
+    return unavailable(site_unhealthy);
   }
   auto channel = impl_->Acquire(backend);
   if (channel == nullptr) {
-    return unavailable("pool_exhausted");
+    return unavailable(site_pool_exhausted);
   }
   auto reply = channel->Ingest(local_id, request.values);
   if (!reply.ok()) {
@@ -680,7 +708,7 @@ IngestResponse RouterCore::HandleIngest(const IngestRequest& request) {
          {"error", std::string(reply.status().message())}});
     impl_->Discard(backend);
     impl_->MarkDown(backend);
-    return unavailable("transport");
+    return unavailable(site_transport);
   }
   impl_->Release(backend, std::move(channel));
   if (reply->type != FrameType::kAck) return reject(reply->reason);
@@ -770,20 +798,7 @@ std::string RouterCore::Handle(const HttpRequest& request) {
                                        "]}");
   }
   if (request.path == "/v1/streams") {
-    if (request.method == "POST") {
-      std::string tenant;
-      std::string name;
-      if (!service::ParseCreateStreamBody(request.body, &tenant, &name)) {
-        return RenderHttpError(400, "body must carry a \"tenant\" field");
-      }
-      auto created =
-          impl_->CreateStream(std::move(tenant), std::move(name));
-      if (!created.ok()) {
-        return service::RenderCreateStreamError(
-            created.status(), impl_->draining.load(std::memory_order_relaxed));
-      }
-      return RenderHttpResponse(201, created->second);
-    }
+    if (request.method == "POST") return impl_->CreateStream(request.body);
     if (request.method == "GET") {
       return RenderHttpResponse(
           200, "{\"map_version\":" + std::to_string(map_version()) +

@@ -1,8 +1,9 @@
 // TCP implementation of ShardChannel (src/router): two lazily-dialed
 // sockets per channel — control (HTTP) and data (frames) — with
-// per-operation deadlines enforced by poll. Deliberately mirrors the
-// counterpart loops in bench/loadgen.cc and src/service/server.cc: blocking
-// sockets, bounded reads, no buffering framework.
+// per-operation deadlines enforced by poll. It is the one client of the two
+// planes: the router dials its shards with it, and bench/loadgen.cc drives
+// egid or the router with it. Like src/service/server.cc: blocking sockets,
+// bounded reads, no buffering framework.
 
 #include <arpa/inet.h>
 #include <netdb.h>

@@ -69,7 +69,7 @@ enum class RejectReason : uint8_t {
   kVersionMismatch = 7,  ///< hello carried an unsupported protocol version
 };
 
-/// Human-readable reason label (for logs and the loadgen report).
+/// Human-readable reason label (for logs and error messages).
 std::string_view RejectReasonName(RejectReason reason);
 
 /// Frames larger than this are a protocol violation (64k points ≈ 512 KiB
@@ -149,7 +149,7 @@ FrameParseResult DecodeIngestFrame(std::span<const uint8_t> buffer,
                                    IngestRequest* out, size_t* consumed);
 
 /// Tries to decode one response frame from the front of `buffer` (client
-/// side: the loadgen bench and the smoke-test driver).
+/// side: the router's shard channel, which loadgen drives too).
 FrameParseResult DecodeResponseFrame(std::span<const uint8_t> buffer,
                                      IngestResponse* out, size_t* consumed);
 

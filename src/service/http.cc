@@ -318,4 +318,14 @@ bool ParseCreateStreamBody(std::string_view body, std::string* tenant,
   return true;
 }
 
+Status ValidateStreamLabels(std::string_view tenant, std::string_view name) {
+  if (tenant.empty() || tenant.size() > kMaxLabelBytes ||
+      name.size() > kMaxLabelBytes) {
+    return Status::InvalidArgument(
+        "tenant must be 1.." + std::to_string(kMaxLabelBytes) +
+        " bytes, name at most " + std::to_string(kMaxLabelBytes));
+  }
+  return Status::OK();
+}
+
 }  // namespace egi::service

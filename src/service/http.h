@@ -116,4 +116,11 @@ std::string RenderCreateStreamBody(std::string_view tenant,
 bool ParseCreateStreamBody(std::string_view body, std::string* tenant,
                            std::string* name);
 
+/// Longest tenant or stream name either daemon accepts, in bytes.
+inline constexpr size_t kMaxLabelBytes = 256;
+
+/// The label check of a stream create: InvalidArgument unless the tenant
+/// is 1..kMaxLabelBytes bytes and the name at most kMaxLabelBytes.
+Status ValidateStreamLabels(std::string_view tenant, std::string_view name);
+
 }  // namespace egi::service

@@ -37,9 +37,6 @@ uint64_t SteadyNowNs() {
 /// mutex gets it promptly.
 constexpr size_t kDrainChunk = 512;
 
-/// Longest tenant/name string accepted from clients and from checkpoints.
-constexpr size_t kMaxLabelBytes = 256;
-
 }  // namespace
 
 // ------------------------------------------------------------------- state
@@ -364,12 +361,7 @@ Result<size_t> HubService::CreateStream(std::string tenant,
   if (impl_->draining.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("service is draining");
   }
-  if (tenant.empty() || tenant.size() > kMaxLabelBytes ||
-      name.size() > kMaxLabelBytes) {
-    return Status::InvalidArgument(
-        "tenant must be 1.." + std::to_string(kMaxLabelBytes) +
-        " bytes, name at most " + std::to_string(kMaxLabelBytes));
-  }
+  EGI_RETURN_IF_ERROR(ValidateStreamLabels(tenant, name));
   std::unique_lock<std::shared_mutex> structural(impl_->struct_mu);
   Impl::Tenant* owner = impl_->GetOrCreateTenant(tenant);
   if (impl_->options.max_streams_per_tenant != 0 &&

@@ -165,6 +165,33 @@ TEST(RouterTest, CreatesStreamsAcrossShardsAndRewritesIds) {
   EXPECT_EQ(reject.reason, service::RejectReason::kUnknownStream);
 }
 
+TEST(RouterTest, CreateErrorsAnswerAsTheShardDoesAndKeepIdsDense) {
+  service::HubServiceOptions options = ShardOptions(1);
+  options.max_streams_per_tenant = 1;
+  RouterRig rig(1, 1, options);
+  service::HttpRequest request;
+  request.method = "POST";
+  request.path = "/v1/streams";
+
+  // A bad label is refused before a gid is allocated, with egid's reply.
+  request.body = "{\"tenant\":\"\"}";
+  const std::string refused = rig.router().Handle(request);
+  EXPECT_EQ(refused, rig.shard(0).service->Handle(request));
+  EXPECT_EQ(refused.substr(0, 24), "HTTP/1.1 400 Bad Request");
+  EXPECT_EQ(rig.CreateStream("a"), 0u);
+
+  // Any other shard 4xx (here the tenant quota) passes through as the
+  // shard rendered it; its gid was placed and stays burned.
+  request.body = "{\"tenant\":\"t\"}";
+  const auto quota = rig.Http("POST", "/v1/streams", "", request.body);
+  EXPECT_EQ(quota.status, 409);
+  EXPECT_EQ(quota.body,
+            "{\"error\":\"tenant 't' is at its stream quota (1)\"}");
+  const auto next = rig.Http("POST", "/v1/streams", "", "{\"tenant\":\"u\"}");
+  EXPECT_EQ(next.status, 201) << next.body;
+  EXPECT_EQ(RouterRig::ParseUInt(next.body, "stream"), 2u);
+}
+
 TEST(RouterTest, AnswersHelloLocallyAndRejectsVersionSkew) {
   RouterRig rig(1, 1, 1);
   service::IngestRequest hello;

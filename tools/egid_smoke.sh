@@ -87,9 +87,13 @@ start_egid
 echo "egid up: http=$HTTP_PORT ingest=$INGEST_PORT pid=$EGID_PID"
 
 # A small load: 50 streams, enough points to score but quick to drain.
-"$LOADGEN" --http-port="$HTTP_PORT" --ingest-port="$INGEST_PORT" \
-           --streams=50 --conns=4 --batch=20 --rounds=3 --json \
-  || fail "loadgen run"
+# Its printed counts are checked too, so a miscounting driver fails here.
+LOAD=$("$LOADGEN" --http-port="$HTTP_PORT" --ingest-port="$INGEST_PORT" \
+                  --streams=50 --conns=4 --batch=20 --rounds=3) \
+  || fail "loadgen run: $LOAD"
+for want in '"frames":150,' '"points_accepted":3000,' '"rejects":0,'; do
+  [[ $LOAD == *"$want"* ]] || fail "loadgen printed $LOAD, want $want"
+done
 
 http POST /v1/flush | grep -q '"flushed":true' || fail "flush"
 DESCRIBE=$(http GET /v1/streams/0)
