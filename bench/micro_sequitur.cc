@@ -1,8 +1,10 @@
 // Micro-benchmarks for Sequitur grammar induction: the paper's pipeline is
 // linear-time overall, which requires Sequitur to stay amortized O(1) per
 // appended token on both random and highly repetitive inputs. Also measures
-// the builder-reuse path (Reset() + flat digram table) that the ensemble
-// and streaming refits run on, against a from-scratch builder per grammar.
+// the builder-reuse path (Reset() + flat digram table) against a
+// from-scratch builder per grammar, and the path the ensemble and streaming
+// refits run: a reused builder whose rule density curve is read from its
+// live grammar, with no Grammar extracted.
 //
 // EGI_BENCH_QUICK=1 shrinks the sweep (CI smoke mode); --json (or
 // EGI_BENCH_JSON=1) emits one JSON object per line for BENCH_*.json
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "grammar/density.h"
 #include "grammar/sequitur.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -68,6 +71,10 @@ int main(int argc, char** argv) {
                 quick ? " [QUICK]" : "");
   }
 
+  // Window of the live_density rows' curve (perfbench's stream shape);
+  // tokens map to positions one to one.
+  constexpr size_t kWindow = 64;
+
   TextTable table("sequitur induction throughput");
   table.SetHeader({"Input", "Tokens", "Builder", "Time (s)", "Tokens/sec"});
 
@@ -91,9 +98,22 @@ int main(int argc, char** argv) {
         bench::KeepAlive(g);
       });
 
+      // The ensemble member's path (core::RunGrammarInductionOnTokens).
+      std::vector<size_t> offsets(n);
+      for (size_t i = 0; i < n; ++i) offsets[i] = i;
+      const double live_density_s = bench::BestSeconds(reps, [&] {
+        builder.Reset();
+        builder.AppendAll(tokens);
+        auto curve = grammar::BuildRuleDensityCurve(
+            builder, offsets, n + kWindow - 1, kWindow,
+            /*normalize_by_coverage=*/true);
+        bench::KeepAlive(curve);
+      });
+
       for (const auto& [mode, secs] :
            {std::pair<const char*, double>{"fresh", fresh_s},
-            std::pair<const char*, double>{"reused", reused_s}}) {
+            std::pair<const char*, double>{"reused", reused_s},
+            std::pair<const char*, double>{"live_density", live_density_s}}) {
         const double tps = static_cast<double>(n) / std::max(secs, 1e-12);
         if (json) {
           bench::JsonRecord("micro_sequitur")
@@ -115,8 +135,9 @@ int main(int argc, char** argv) {
   if (!json) {
     table.Print(std::cout);
     std::printf(
-        "\nthe reused-builder rows are the hot configuration: the ensemble's "
-        "N members\nand every streaming refit run through Reset() builders.\n");
+        "\nthe live_density rows are the hot configuration: the ensemble's N "
+        "members\nand every streaming refit run through Reset() builders and "
+        "read the\ncurve from the live grammar.\n");
   }
   return 0;
 }

@@ -7,7 +7,6 @@
 
 #include "core/gi.h"
 #include "egi/telemetry.h"
-#include "grammar/sequitur.h"
 #include "ts/stats.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -355,11 +354,9 @@ Result<MemberCurves> BuildMemberCurves(std::span<const double> series,
     telemetry::ScopedTimer timer(induction_hist);
     exec::ParallelFor(params.parallelism, 0, out.survivors.size(),
                       /*grain=*/1, [&](size_t i) {
-                        auto builder = grammar::AcquireScratchBuilder();
                         out.curves[i] = RunGrammarInductionOnTokens(
                                             discretized[out.survivors[i]],
-                                            params.boundary_correction,
-                                            builder.get())
+                                            params.boundary_correction)
                                             .density;
                       });
   }

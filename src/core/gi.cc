@@ -13,24 +13,18 @@
 namespace egi::core {
 
 GiRun RunGrammarInductionOnTokens(const sax::DiscretizedSeries& discretized,
-                                  bool boundary_correction,
-                                  grammar::SequiturBuilder* scratch) {
+                                  bool boundary_correction) {
+  auto builder = grammar::AcquireScratchBuilder();
+  builder->Reset();
+  builder->AppendAll(discretized.seq.tokens);
+
   GiRun run;
   run.num_tokens = discretized.seq.size();
   run.vocabulary = discretized.table.size();
-
-  grammar::Grammar g;
-  if (scratch != nullptr) {
-    scratch->Reset();
-    scratch->AppendAll(discretized.seq.tokens);
-    g = scratch->Build();
-  } else {
-    g = grammar::InduceGrammar(discretized.seq.tokens);
-  }
-  run.num_rules = g.rules.size();
-  run.grammar_symbols = g.TotalRhsSymbols();
+  run.num_rules = builder->num_rules();
+  run.grammar_symbols = builder->grammar_symbols();
   run.density = grammar::BuildRuleDensityCurve(
-      g, discretized.seq.offsets, discretized.series_length,
+      *builder, discretized.seq.offsets, discretized.series_length,
       discretized.window_length, boundary_correction);
   return run;
 }

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "egi/result.h"
-#include "grammar/grammar.h"
-#include "grammar/sequitur.h"
 #include "sax/multires_encoder.h"
 #include "ts/stats.h"
 
@@ -40,13 +38,12 @@ Result<GiRun> RunGrammarInduction(std::span<const double> series,
                                   const GiParams& params);
 
 /// Same pipeline starting from an already-discretized series (used by the
-/// ensemble so discretization can be shared through the multi-resolution
-/// encoder). When `scratch` is non-null the induction runs through
-/// scratch->Reset() + AppendAll instead of a fresh builder, reusing its
-/// arenas and digram table; the output is bitwise-identical either way.
+/// ensemble and GI-Select so discretization can be shared through the
+/// multi-resolution encoder). Induction runs on a builder leased from the
+/// scratch pool (grammar::AcquireScratchBuilder), and the curve and grammar
+/// statistics are read from its live rules; no Grammar is extracted.
 GiRun RunGrammarInductionOnTokens(const sax::DiscretizedSeries& discretized,
-                                  bool boundary_correction = true,
-                                  grammar::SequiturBuilder* scratch = nullptr);
+                                  bool boundary_correction = true);
 
 /// GI-Select's parameter choice: a grid search over w in [2, min(wmax,
 /// window_length)] and a in [2, amax] on the leading `train_fraction` of

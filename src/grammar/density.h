@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "grammar/grammar.h"
+#include "grammar/sequitur.h"
 
 namespace egi::grammar {
 
@@ -25,6 +26,16 @@ namespace egi::grammar {
 /// edges would otherwise outrank real anomalies (an artifact the paper's
 /// 40%-80% planting protocol never exposes). Zeros are preserved exactly.
 std::vector<double> BuildRuleDensityCurve(const Grammar& grammar,
+                                          std::span<const size_t> offsets,
+                                          size_t series_length,
+                                          size_t window_length,
+                                          bool normalize_by_coverage = false);
+
+/// The same curve read straight from a builder's live grammar, with no
+/// Grammar extracted: bitwise-equal to
+/// BuildRuleDensityCurve(builder.Build(), ...) (the curve is an integer
+/// count until the last step, so occurrence visit order cannot matter).
+std::vector<double> BuildRuleDensityCurve(const SequiturBuilder& builder,
                                           std::span<const size_t> offsets,
                                           size_t series_length,
                                           size_t window_length,

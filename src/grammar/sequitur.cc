@@ -3,7 +3,7 @@
 #include <pthread.h>
 
 #include <deque>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "grammar/digram_table.h"
@@ -15,14 +15,18 @@ namespace {
 
 struct RuleImpl;
 
+// Marks a guard node's `sym`; no terminal or rule identity takes it.
+constexpr int64_t kGuardSym = std::numeric_limits<int64_t>::min();
+
 // One symbol in the mutable grammar: a node in a circular doubly-linked list
 // whose sentinel is the owning rule's guard node.
 struct Node {
   Node* prev = nullptr;
   Node* next = nullptr;
-  int32_t terminal = 0;        // valid when rule == nullptr && !guard
-  RuleImpl* rule = nullptr;    // referenced rule (non-terminal) or owner (guard)
-  bool guard = false;
+  RuleImpl* rule = nullptr;  // referenced rule (non-terminal) or owner (guard)
+  // Digram identity, cached so digram probes need not follow `rule`: the
+  // token id of a terminal, -(uid+1) of a rule reference, or kGuardSym.
+  int64_t sym = 0;
 };
 
 struct RuleImpl {
@@ -30,6 +34,9 @@ struct RuleImpl {
   int refcount = 0;
   bool alive = true;
   size_t uid = 0;  // creation index; unique per run, keys digram entries
+  // Terminals the rule expands to. Fixed at creation: substituting a digram
+  // by its rule and inlining a rule both keep every expansion unchanged.
+  size_t length = 0;
 };
 
 }  // namespace
@@ -47,6 +54,7 @@ struct SequiturBuilder::Impl {
   std::vector<Node*> free_nodes;
   std::deque<RuleImpl> rule_arena;
   size_t rules_used = 0;
+  size_t live_rules = 0;  // R0 included
   DigramTable<Node*> digrams;
   RuleImpl* root = nullptr;
   size_t appended = 0;
@@ -82,8 +90,9 @@ struct SequiturBuilder::Impl {
       r = &rule_arena.back();
     }
     r->uid = rules_used++;
+    ++live_rules;
     Node* g = NewNode();
-    g->guard = true;
+    g->sym = kGuardSym;
     g->rule = r;
     g->prev = g;
     g->next = g;
@@ -95,21 +104,28 @@ struct SequiturBuilder::Impl {
     free_nodes.clear();
     nodes_used = 0;
     rules_used = 0;
+    live_rules = 0;
     digrams.Clear();
     appended = 0;
     root = NewRule();
   }
 
-  static bool IsGuard(const Node* n) { return n->guard; }
+  static bool IsGuard(const Node* n) { return n->sym == kGuardSym; }
   static bool IsNonTerminal(const Node* n) {
-    return !n->guard && n->rule != nullptr;
+    return !IsGuard(n) && n->rule != nullptr;
+  }
+
+  static size_t ExpansionLength(const Node* n) {
+    return n->rule != nullptr ? n->rule->length : 1;
   }
 
   static int64_t SymIdentity(const Node* n) {
-    EGI_DCHECK(!n->guard);
-    if (n->rule != nullptr)
-      return -static_cast<int64_t>(n->rule->uid) - 1;
-    return n->terminal;
+    EGI_DCHECK(!IsGuard(n));
+    return n->sym;
+  }
+
+  static int64_t RuleSym(const RuleImpl* r) {
+    return -static_cast<int64_t>(r->uid) - 1;
   }
 
   // Removes the digram table entry for (first, first->next) if it points at
@@ -159,12 +175,9 @@ struct SequiturBuilder::Impl {
   // Copies the symbol payload of `src` into a fresh node (for rule bodies).
   Node* CopyPayload(const Node* src) {
     Node* n = NewNode();
-    if (src->rule != nullptr) {
-      n->rule = src->rule;
-      n->rule->refcount++;
-    } else {
-      n->terminal = src->terminal;
-    }
+    n->rule = src->rule;
+    n->sym = src->sym;
+    if (n->rule != nullptr) n->rule->refcount++;
     return n;
   }
 
@@ -176,6 +189,7 @@ struct SequiturBuilder::Impl {
     DeleteSymbol(first);
     Node* nn = NewNode();
     nn->rule = r;
+    nn->sym = RuleSym(r);
     r->refcount++;
     InsertAfter(q, nn);
     if (!Check(q)) Check(nn);
@@ -196,6 +210,7 @@ struct SequiturBuilder::Impl {
       // (substitution frees ss and its neighbour).
       Node* c1 = CopyPayload(ss);
       Node* c2 = CopyPayload(ss->next);
+      r->length = ExpansionLength(c1) + ExpansionLength(c2);
       Node* g = r->guard_node;
       // Manual linking: body digram registration happens once, below.
       g->next = c1;
@@ -236,6 +251,7 @@ struct SequiturBuilder::Impl {
 
     FreeNode(use);
     child->alive = false;
+    --live_rules;
     FreeNode(child->guard_node);
     child->guard_node = nullptr;
 
@@ -246,10 +262,37 @@ struct SequiturBuilder::Impl {
       digrams.InsertOrAssign(SymIdentity(left), SymIdentity(left->next), left);
   }
 
+  // Walks the derivation tree of R0 once, in pre-order: visit(rule, start)
+  // for every dynamic occurrence of every other rule, `start` being the
+  // token position where that occurrence's expansion begins.
+  template <typename Visit>
+  void WalkDerivation(Visit&& visit) const {
+    const size_t total = WalkBody(*root, 0, visit);
+    EGI_CHECK(total == appended)
+        << "grammar expansion length " << total << " != input length "
+        << appended;
+  }
+
+  // Returns the position just past the expansion of `r` started at `pos`.
+  template <typename Visit>
+  static size_t WalkBody(const RuleImpl& r, size_t pos, Visit& visit) {
+    for (const Node* n = r.guard_node->next; !IsGuard(n); n = n->next) {
+      if (n->rule == nullptr) {
+        ++pos;
+        continue;
+      }
+      visit(*n->rule, pos);
+      const size_t end = WalkBody(*n->rule, pos, visit);
+      EGI_DCHECK(end == pos + n->rule->length);
+      pos = end;
+    }
+    return pos;
+  }
+
   void Append(int32_t token) {
     EGI_CHECK(token >= 0) << "terminal tokens must be non-negative";
     Node* t = NewNode();
-    t->terminal = token;
+    t->sym = token;
     InsertAfter(root->guard_node->prev, t);
     Check(t->prev);
     ++appended;
@@ -272,17 +315,32 @@ void SequiturBuilder::Reset() { impl_->Reset(); }
 
 size_t SequiturBuilder::num_appended() const { return impl_->appended; }
 
+size_t SequiturBuilder::num_rules() const { return impl_->live_rules - 1; }
+
+size_t SequiturBuilder::grammar_symbols() const {
+  // Every node taken from the arena and not freed is a symbol in some live
+  // rule's body or one live rule's guard.
+  return impl_->nodes_used - impl_->free_nodes.size() - impl_->live_rules;
+}
+
+void SequiturBuilder::ForEachRuleOccurrence(
+    const std::function<void(size_t start, size_t length)>& visit) const {
+  impl_->WalkDerivation(
+      [&](const RuleImpl& r, size_t start) { visit(start, r.length); });
+}
+
 Grammar SequiturBuilder::Build() const {
   Grammar g;
   g.input_length = impl_->appended;
 
   // Compact alive rules (excluding the root) in creation order: R1, R2, ...
   // Only the first `rules_used` arena slots belong to the current run.
-  std::unordered_map<const RuleImpl*, size_t> index;
+  constexpr size_t kDead = std::numeric_limits<size_t>::max();
+  std::vector<size_t> index(impl_->rules_used, kDead);  // uid -> rule index
   for (size_t q = 0; q < impl_->rules_used; ++q) {
     const RuleImpl& r = impl_->rule_arena[q];
     if (!r.alive || &r == impl_->root) continue;
-    index.emplace(&r, g.rules.size());
+    index[r.uid] = g.rules.size();
     g.rules.emplace_back();
   }
 
@@ -290,63 +348,29 @@ Grammar SequiturBuilder::Build() const {
     std::vector<SymbolId> rhs;
     for (Node* n = r.guard_node->next; !Impl::IsGuard(n); n = n->next) {
       if (n->rule != nullptr) {
-        auto it = index.find(n->rule);
-        EGI_CHECK(it != index.end()) << "reference to dead rule";
-        rhs.push_back(MakeRuleSym(it->second));
+        const size_t k = index[n->rule->uid];
+        EGI_CHECK(k != kDead) << "reference to dead rule";
+        rhs.push_back(MakeRuleSym(k));
       } else {
-        rhs.push_back(n->terminal);
+        rhs.push_back(static_cast<SymbolId>(n->sym));
       }
     }
     return rhs;
   };
 
   g.root = extract_rhs(*impl_->root);
-  {
-    size_t k = 0;
-    for (size_t q = 0; q < impl_->rules_used; ++q) {
-      const RuleImpl& r = impl_->rule_arena[q];
-      if (!r.alive || &r == impl_->root) continue;
-      g.rules[k].rhs = extract_rhs(r);
-      g.rules[k].usage = r.refcount;
-      ++k;
-    }
+  for (size_t q = 0; q < impl_->rules_used; ++q) {
+    const RuleImpl& r = impl_->rule_arena[q];
+    if (index[q] == kDead) continue;
+    GrammarRule& rule = g.rules[index[q]];
+    rule.rhs = extract_rhs(r);
+    rule.usage = r.refcount;
+    rule.expansion_length = r.length;
   }
 
-  // Expansion lengths by memoized depth-first traversal. Rule nesting depth
-  // is logarithmic for realistic inputs; recursion is safe here.
-  std::vector<int> state(g.rules.size(), 0);  // 0=unvisited 1=visiting 2=done
-  auto expansion = [&](auto&& self, size_t k) -> size_t {
-    EGI_CHECK(state[k] != 1) << "cycle in grammar";
-    if (state[k] == 2) return g.rules[k].expansion_length;
-    state[k] = 1;
-    size_t len = 0;
-    for (SymbolId s : g.rules[k].rhs)
-      len += IsRuleSym(s) ? self(self, RuleIndexOf(s)) : 1;
-    g.rules[k].expansion_length = len;
-    state[k] = 2;
-    return len;
-  };
-  for (size_t k = 0; k < g.rules.size(); ++k) expansion(expansion, k);
-
-  // Dynamic occurrences: walk the derivation tree from the root once.
-  auto walk = [&](auto&& self, std::span<const SymbolId> syms,
-                  size_t pos) -> size_t {
-    for (SymbolId s : syms) {
-      if (IsRuleSym(s)) {
-        const size_t k = RuleIndexOf(s);
-        g.rules[k].occurrences.push_back(pos);
-        self(self, g.rules[k].rhs, pos);
-        pos += g.rules[k].expansion_length;
-      } else {
-        pos += 1;
-      }
-    }
-    return pos;
-  };
-  const size_t total = walk(walk, g.root, 0);
-  EGI_CHECK(total == g.input_length)
-      << "grammar expansion length " << total << " != input length "
-      << g.input_length;
+  impl_->WalkDerivation([&](const RuleImpl& r, size_t start) {
+    g.rules[index[r.uid]].occurrences.push_back(start);
+  });
   return g;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "exec/scratch_pool.h"
@@ -18,8 +19,12 @@ namespace egi::grammar {
 ///
 /// This is a faithful port of the canonical linked-list + digram-index
 /// implementation; the paper's worked example (Table 2) is reproduced
-/// exactly in tests. Call Build() at any point to extract an immutable
-/// Grammar artifact (the builder remains usable afterwards).
+/// exactly in tests. At any point the live grammar can be read without
+/// extracting anything: num_rules(), grammar_symbols() and
+/// ForEachRuleOccurrence() (which feeds the rule density curve, see
+/// grammar/density.h). Build() extracts an immutable Grammar artifact
+/// instead, for callers that need the rules themselves (motifs, the
+/// toolkit); the builder remains usable after either.
 ///
 /// Internally the builder owns arena storage for symbol nodes and rules plus
 /// a flat open-addressing digram index (grammar/digram_table.h). Reset()
@@ -49,6 +54,21 @@ class SequiturBuilder {
 
   /// Number of tokens appended so far.
   size_t num_appended() const;
+
+  /// Rules of the live grammar, R0 excluded (== Build().rules.size()).
+  size_t num_rules() const;
+
+  /// Description length of the live grammar in symbols, |R0| + sum of
+  /// |rhs| (== Build().TotalRhsSymbols()). O(1).
+  size_t grammar_symbols() const;
+
+  /// Walks the live grammar's derivation tree once and calls
+  /// visit(start, length) for every dynamic occurrence of every rule but R0:
+  /// the occurrence expands to input tokens [start, start + length). Visits
+  /// are in pre-order, so each rule's starts ascend, matching
+  /// Build().rules[k].occurrences.
+  void ForEachRuleOccurrence(
+      const std::function<void(size_t start, size_t length)>& visit) const;
 
   /// Extracts the grammar artifact: compacted rules in creation order with
   /// usage counts, expansion lengths, and all dynamic occurrences.
