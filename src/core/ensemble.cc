@@ -341,8 +341,9 @@ Result<MemberCurves> BuildMemberCurves(std::span<const double> series,
 
   // The grammar-induction runs are independent; each writes only its own
   // slot, so the parallel result is bitwise-identical to the serial one.
-  // Each member leases a warm Sequitur builder from the process-wide scratch
-  // pool (grammar/sequitur.h): the pool's high-water mark is the executing
+  // Each member's RunGrammarInductionOnTokens leases a warm Sequitur builder
+  // from the process-wide scratch pool (grammar/sequitur.h) and reads its
+  // curve from the live rules: the pool's high-water mark is the executing
   // concurrency, so across runs — batch calls, every streaming refit, every
   // stream in a hub shard — the same few arenas and digram tables serve all
   // grammar inductions allocation-free. Builder reuse is bitwise-output-
